@@ -184,8 +184,7 @@ def cmd_eval(args) -> int:
             labels = val_set.labels[start : start + cfg.batch_size]
             logits = folded.forward_int(images)
             hits1 += int(np.sum(logits.argmax(axis=1) == labels))
-            top5 = np.argpartition(-logits, min(4, logits.shape[1] - 1), axis=1)[:, :5]
-            hits5 += int(np.sum(top5 == labels[:, None]))
+            hits5 += training._topk_hits(logits, labels, 5)
         top1, top5v = hits1 / len(val_set), hits5 / len(val_set)
         path_kind = "folded"
     else:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, no_grad
+from .tensor import _im2col, no_grad
 from .quant import RescaleMode, dorefa_clamp, rescale_factor
 from .network import ConvNet
 
@@ -39,7 +38,6 @@ __all__ = [
     "fold_bn",
     "save_folded",
     "load_folded",
-    "integer_forward",
 ]
 
 log = logging.getLogger("qsat.deployment")
@@ -47,8 +45,10 @@ log = logging.getLogger("qsat.deployment")
 MAGIC = b"QSAT"
 FORMAT_VERSION = 1
 
-# folded integer accumulators are int64; keep a wide safety margin
-_ACC_LIMIT = 2**62
+# folded convolutions run as float GEMMs: float32 holds every integer below
+# 2^24 exactly and float64 every integer below this limit, so a layer whose
+# accumulator bound reaches it cannot be folded
+_ACC_LIMIT = 2**53
 
 
 class CheckpointError(ValueError):
@@ -249,68 +249,74 @@ class FoldedModel:
         ``return_margin`` also reports each sample's minimum distance of
         any rounding argument to a tie.
         """
-        n = images.astype(np.float64)
-        margin = np.full(len(images), np.inf)
-        for layer in self.layers:
-            acc = _conv_forward(n, layer.grid_weights.astype(np.float64),
-                                layer.stride, layer.pad)
-            shaped = lambda a: a.reshape(1, -1, 1, 1)
-            inner = np.clip(acc + shaped(layer.offset), 0.0, shaped(layer.clip))
-            r = shaped(layer.requant * layer.weight_levels) * inner
-            frac = np.abs(r - np.floor(r) - 0.5)
-            margin = np.minimum(margin, frac.reshape(len(images), -1).min(axis=1))
-            n = np.clip(np.floor(r + 0.5), 0.0, layer.out_levels)
-            if layer.pool_k > 1:
-                n = _sum_pool(n, layer.pool_k)
-        q = self.fc_in_scale * n.reshape(len(images), -1)
-        logits = self.logit_scale * (q @ self.fc_weight)
-        if return_margin:
-            return logits, margin
-        return logits
+        logits, margin = self._forward(images, exact=False)
+        return (logits, margin) if return_margin else logits
 
     def forward_int(self, images: np.ndarray) -> np.ndarray:
-        """Pure integer path; grid-quantized offsets and clips, int64
+        """Pure integer path; grid-quantized offsets and clips, integer
         accumulators, one real multiply per layer, float final layer.
 
-        The last layer's positive rescale factor is dropped here, which
-        leaves the logit argmax unchanged.
+        Each conv is a float32 or float64 GEMM whose partial sums are all
+        integers the dtype holds exactly (``_gemm_dtype``), so the result
+        is that of int64 arithmetic.  The last layer's positive rescale
+        factor is dropped, which leaves the logit argmax unchanged.
         """
-        n = np.rint(images).astype(np.int64)
-        if n.min() < 0 or n.max() > self.layers[0].in_levels:
+        x = np.rint(images)
+        if x.min() < 0 or x.max() > self.layers[0].in_levels:
             raise ValueError("integer inputs outside the expected grid range")
+        return self._forward(x, exact=True)[0]
+
+    def _forward(self, x: np.ndarray, exact: bool):
+        """The layer loop of both paths: one GEMM on im2col rows per conv,
+        then the per-channel epilogue in place, in float64, on its (rows,
+        channels) output, which the next conv reads as an NCHW view."""
+        batch = len(x)
+        margin = np.full(batch, np.inf)
         for layer in self.layers:
-            acc = _conv_forward(n, layer.signed_weights, layer.stride, layer.pad)
-            shaped = lambda a: a.reshape(1, -1, 1, 1)
-            inner = np.clip(
-                acc + shaped(layer.offset_int), 0, shaped(layer.clip_int)
-            )
-            r = shaped(layer.requant) * inner
-            n = np.clip(np.floor(r + 0.5), 0.0, layer.out_levels).astype(np.int64)
-            if layer.pool_k > 1:
-                n = _sum_pool(n, layer.pool_k)
-        q = self.fc_in_scale * n.reshape(len(images), -1).astype(np.float64)
-        return q @ self.fc_weight
+            if exact:
+                dtype, weights = _gemm_dtype(layer), layer.signed_weights
+                offset, clip, requant = layer.offset_int, layer.clip_int, layer.requant
+            else:
+                dtype, weights = np.float64, layer.grid_weights
+                offset, clip = layer.offset, layer.clip
+                requant = layer.requant * layer.weight_levels
+            co, k = weights.shape[0], weights.shape[2]
+            col, ho, wo, _ = _im2col(x.astype(dtype, copy=False), k, layer.stride, layer.pad)
+            acc = (col @ weights.reshape(co, -1).T.astype(dtype)).astype(np.float64, copy=False)
+            acc += offset
+            np.clip(acc, 0.0, clip, out=acc)
+            acc *= requant
+            if not exact:
+                frac = np.abs(acc - np.floor(acc) - 0.5)
+                margin = np.minimum(margin, frac.reshape(batch, -1).min(axis=1))
+            acc += 0.5
+            np.floor(acc, out=acc)
+            np.clip(acc, 0.0, layer.out_levels, out=acc)
+            out, p = acc.reshape(batch, ho, wo, co), layer.pool_k
+            if p > 1:
+                out = out.reshape(batch, ho // p, p, wo // p, p, co).sum(axis=(2, 4))
+            x = out.transpose(0, 3, 1, 2)
+        logits = (self.fc_in_scale * x.reshape(batch, -1)) @ self.fc_weight
+        return (logits if exact else self.logit_scale * logits), margin
 
 
-def integer_forward(folded: FoldedModel, images: np.ndarray) -> np.ndarray:
-    """Logits of the integer inference path for uint8-valued inputs."""
-    return folded.forward_int(images)
+def _gemm_dtype(layer: FoldedLayer):
+    """Float dtype in which the layer's integer conv is exact.
 
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    from .tensor import _im2col
-
-    n = x.shape[0]
-    co = w.shape[0]
-    k = w.shape[2]
-    col, ho, wo, _ = _im2col(x, k, stride, pad)
-    out = col @ w.reshape(co, -1).T
-    return np.ascontiguousarray(out.reshape(n, ho, wo, co).transpose(0, 3, 1, 2))
-
-
-def _sum_pool(x: np.ndarray, k: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // k, k, w // k, k).sum(axis=(3, 5))
+    No partial sum exceeds B, the largest per-channel sum of |signed
+    weight| times ``in_levels``, in any summation order.  float32 holds
+    every integer below 2^24 exactly and float64 every one below 2^53; the
+    float64 epilogue adds the rounded offset, so B plus it stays below 2^53.
+    """
+    w = np.abs(layer.signed_weights)
+    bound = int(w.reshape(len(w), -1).sum(axis=1).max()) * layer.in_levels
+    worst = bound + int(np.max(np.abs(layer.offset_int)))
+    if worst >= _ACC_LIMIT:
+        raise FoldError(
+            f"layer '{layer.name}': integer accumulator bound {worst} reaches "
+            "2^53, past what float64 holds exactly"
+        )
+    return np.float32 if bound < 2**24 else np.float64
 
 
 def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:
@@ -398,15 +404,6 @@ def fold_bn(model) -> FoldedModel:
         clip = alpha_out / (gamma_eff * in_scale)
         requant = (a_out / alpha_out) * gamma_eff * in_scale / w_levels
 
-        worst = int(
-            np.max(np.abs(2 * idx.astype(np.int64) - w_levels).reshape(co, -1).sum(axis=1))
-        ) * in_levels + int(np.max(np.abs(np.rint(w_levels * offset))))
-        if worst >= _ACC_LIMIT:
-            raise FoldError(
-                f"layer '{conv.name}': integer accumulator bound {worst} exceeds "
-                "the 64-bit budget"
-            )
-
         pool_k = 1
         if block.pool is not None:
             if block.pool.kind != "avg":
@@ -415,24 +412,24 @@ def fold_bn(model) -> FoldedModel:
                     "integer grid"
                 )
             pool_k = block.pool.k
-        layers.append(
-            FoldedLayer(
-                name=conv.name,
-                weight_idx=idx,
-                channel_sign=channel_sign,
-                weight_levels=w_levels,
-                stride=conv.stride,
-                pad=conv.pad,
-                in_scale=in_scale,
-                in_levels=in_levels,
-                offset=offset,
-                clip=clip,
-                requant=requant,
-                out_alpha=alpha_out,
-                out_levels=a_out,
-                pool_k=pool_k,
-            )
+        layer = FoldedLayer(
+            name=conv.name,
+            weight_idx=idx,
+            channel_sign=channel_sign,
+            weight_levels=w_levels,
+            stride=conv.stride,
+            pad=conv.pad,
+            in_scale=in_scale,
+            in_levels=in_levels,
+            offset=offset,
+            clip=clip,
+            requant=requant,
+            out_alpha=alpha_out,
+            out_levels=a_out,
+            pool_k=pool_k,
         )
+        _gemm_dtype(layer)  # raises if the accumulators cannot be exact
+        layers.append(layer)
         in_scale = (alpha_out / a_out) / (pool_k * pool_k)
         in_levels = a_out * pool_k * pool_k
 
@@ -451,78 +448,76 @@ def fold_bn(model) -> FoldedModel:
 
 # -- folded-model container ---------------------------------------------------
 
+# per-layer scalars of the manifest's meta, with their types
+_LAYER_META = {"weight_levels": int, "stride": int, "pad": int, "in_scale": float,
+               "in_levels": int, "out_alpha": float, "out_levels": int, "pool_k": int}
+# per-layer payload tensors: role, FoldedLayer field
+_LAYER_TENSORS = (("int_weight", "weight_idx"), ("offset", "offset"),
+                  ("clip", "clip"), ("scale", "requant"))
+
 
 def save_folded(folded: FoldedModel, path, config_hash: str = "") -> None:
     entries = []
     meta_layers = []
     for i, layer in enumerate(folded.layers):
-        base = f"L{i}"
-        entries.append((f"{base}.int_weight", "int_weight", layer.weight_idx))
-        entries.append((f"{base}.offset", "offset", layer.offset))
-        entries.append((f"{base}.clip", "clip", layer.clip))
-        entries.append((f"{base}.scale", "scale", layer.requant))
-        meta_layers.append(
-            {
-                "name": layer.name,
-                "weight_levels": layer.weight_levels,
-                "stride": layer.stride,
-                "pad": layer.pad,
-                "in_scale": layer.in_scale,
-                "in_levels": layer.in_levels,
-                "out_alpha": layer.out_alpha,
-                "out_levels": layer.out_levels,
-                "pool_k": layer.pool_k,
-                "channel_sign": layer.channel_sign.astype(int).tolist(),
-            }
-        )
+        entries += [(f"L{i}.{role}", role, getattr(layer, field))
+                    for role, field in _LAYER_TENSORS]
+        meta_layers.append({
+            "name": layer.name,
+            "channel_sign": layer.channel_sign.astype(int).tolist(),
+            **{key: getattr(layer, key) for key in _LAYER_META},
+        })
     entries.append(("fc.weight", "weight", folded.fc_weight))
     manifest = {
-        "kind": "folded",
-        "config_hash": config_hash,
-        "preset": folded.preset,
-        "tensors": [
-            {"name": name, "role": role, "shape": list(arr.shape)}
-            for name, role, arr in entries
-        ],
-        "meta": {
-            "layers": meta_layers,
-            "fc_in_scale": folded.fc_in_scale,
-            "logit_scale": folded.logit_scale,
-        },
+        "kind": "folded", "config_hash": config_hash, "preset": folded.preset,
+        "tensors": [{"name": name, "role": role, "shape": list(arr.shape)}
+                    for name, role, arr in entries],
+        "meta": {"layers": meta_layers, "fc_in_scale": folded.fc_in_scale,
+                 "logit_scale": folded.logit_scale},
     }
     _write_container(path, manifest, [arr for _, _, arr in entries])
 
 
 def load_folded(path) -> FoldedModel:
+    """Read a folded model, rejecting any field the exact integer path
+    relies on that is missing or out of range."""
     ckpt = load_checkpoint(path)
     if ckpt.kind != "folded":
         raise CheckpointError(f"{path}: expected a folded model, got '{ckpt.kind}'")
-    meta = ckpt.manifest["meta"]
-    layers = []
-    for i, lm in enumerate(meta["layers"]):
-        base = f"L{i}"
-        layers.append(
+    try:
+        meta = ckpt.manifest["meta"]
+        layers = [
             FoldedLayer(
                 name=lm["name"],
-                weight_idx=ckpt.tensors[f"{base}.int_weight"].astype(np.float64),
                 channel_sign=np.asarray(lm["channel_sign"], dtype=np.float64),
-                weight_levels=int(lm["weight_levels"]),
-                stride=int(lm["stride"]),
-                pad=int(lm["pad"]),
-                in_scale=float(lm["in_scale"]),
-                in_levels=int(lm["in_levels"]),
-                offset=ckpt.tensors[f"{base}.offset"].astype(np.float64),
-                clip=ckpt.tensors[f"{base}.clip"].astype(np.float64),
-                requant=ckpt.tensors[f"{base}.scale"].astype(np.float64),
-                out_alpha=float(lm["out_alpha"]),
-                out_levels=int(lm["out_levels"]),
-                pool_k=int(lm["pool_k"]),
+                **{key: cast(lm[key]) for key, cast in _LAYER_META.items()},
+                **{field: ckpt.tensors[f"L{i}.{role}"].astype(np.float64)
+                   for role, field in _LAYER_TENSORS},
             )
+            for i, lm in enumerate(meta["layers"])
+        ]
+        folded = FoldedModel(
+            layers=layers,
+            fc_weight=ckpt.tensors["fc.weight"].astype(np.float64),
+            fc_in_scale=float(meta["fc_in_scale"]),
+            logit_scale=float(meta["logit_scale"]),
+            preset=ckpt.manifest.get("preset", ""),
         )
-    return FoldedModel(
-        layers=layers,
-        fc_weight=ckpt.tensors["fc.weight"].astype(np.float64),
-        fc_in_scale=float(meta["fc_in_scale"]),
-        logit_scale=float(meta["logit_scale"]),
-        preset=ckpt.manifest.get("preset", ""),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed folded model: missing or bad {exc}") from exc
+    for prev, layer in zip([None, *layers], layers):
+        idx, levels = layer.weight_idx, layer.weight_levels
+        chained = prev is None or layer.in_levels == prev.out_levels * prev.pool_k**2
+        for ok, problem in (
+            (idx.ndim == 4 and np.all((idx == np.rint(idx)) & (idx >= 0) & (idx <= levels)),
+             f"int_weight is not a 4-D kernel of integers in 0..{levels}"),
+            (np.all(np.abs(layer.channel_sign) == 1.0),
+             "channel_sign holds values other than +1 and -1"),
+            (all(np.shape(v) == np.shape(idx)[:1]
+                 for v in (layer.channel_sign, layer.offset, layer.clip, layer.requant)),
+             "a per-channel vector does not match the output channel count"),
+            (chained, "in_levels differs from the previous layer's out_levels * pool_k^2"),
+        ):
+            if not ok:
+                raise CheckpointError(f"{path}: layer '{layer.name}' {problem}")
+    return folded

@@ -243,6 +243,48 @@ class TestFoldCommand:
         # differ by at most 0.2 accuracy points
         assert abs(folded_eval["top1"] - float_eval["top1"]) <= 0.002
 
+    def test_folded_eval_counts_forward_int_hits(self, tmp_path, tiny_config, capsys):
+        from qsat.data import load_dataset
+        from qsat.deployment import load_folded
+        from qsat.training import parse_config_file
+
+        q_cfg, ckpt = self.train_q8(tmp_path, tiny_config, capsys)
+        _, summary, _ = run_cli(capsys, "fold", "--config", q_cfg,
+                                "--init", ckpt, "--out", str(tmp_path / "folded"))
+        code, folded_eval, _ = run_cli(capsys, "eval", "--config", q_cfg,
+                                       "--init", summary["out"])
+        assert code == 0
+        cfg = parse_config_file(q_cfg)
+        _, val = load_dataset(cfg.dataset, path=cfg.dataset_path, seed=cfg.seed,
+                              train_size=cfg.train_size, val_size=cfg.val_size)
+        folded = load_folded(summary["out"])
+        bs = cfg.batch_size
+        logits = np.concatenate([folded.forward_int(val.images[s : s + bs])
+                                 for s in range(0, len(val), bs)])
+        mine = logits[np.arange(len(val)), val.labels]
+        rank = np.sum(logits > mine[:, None], axis=1)  # logits above the label's
+        assert folded_eval["top1"] == np.mean(logits.argmax(axis=1) == val.labels)
+        assert folded_eval["top5"] == np.mean(rank < 5)
+
+    def test_malformed_folded_file_is_exit_two(self, tmp_path, tiny_config, capsys):
+        from qsat import deployment as dep
+        from qsat.training import build_model_from_config, parse_config_file
+
+        q_cfg = tiny_config("q8.cfg", bits="8", act_bits="8")
+        model = build_model_from_config(parse_config_file(q_cfg), (3, 32, 32), 10)
+        dep.save_checkpoint(model, tmp_path / "q8.ckpt")
+        code, summary, _ = run_cli(capsys, "fold", "--config", q_cfg,
+                                   "--init", str(tmp_path / "q8.ckpt"),
+                                   "--out", str(tmp_path / "folded"))
+        assert code == 0
+        ckpt = dep.load_checkpoint(summary["out"])
+        ckpt.manifest["meta"]["layers"][0]["channel_sign"][0] = 0
+        dep._write_container(summary["out"], ckpt.manifest,
+                             [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]])
+        code, _, err = run_cli(capsys, "eval", "--config", q_cfg, "--init", summary["out"])
+        assert code == 2
+        assert "channel_sign" in err
+
     def test_fold_preresnet_is_exit_five(self, tmp_path, capsys):
         cfg_path = tmp_path / "pre.cfg"
         cfg_path.write_text(

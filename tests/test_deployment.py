@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qsat import deployment as dep
 from qsat.data import make_blobs
@@ -207,7 +209,7 @@ class TestIntegerForward:
         model = trained_quant_model(seed=17, steps=5)
         folded = dep.fold_bn(model)
         zeros = np.zeros((2, 3, 32, 32), dtype=np.float32)
-        via_int = dep.integer_forward(folded, zeros)
+        via_int = folded.forward_int(zeros)
         via_float = folded.forward_float(zeros) / folded.logit_scale
         npt.assert_allclose(via_int, via_float, atol=2e-2)
 
@@ -266,3 +268,182 @@ class TestFoldedContainer:
                              rescale=RescaleMode.CONSTANT, seed=22)
         with pytest.raises(dep.CheckpointError, match="model checkpoint"):
             dep.load_model_checkpoint(path, model)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        folded = dep.fold_bn(trained_quant_model(seed=23, steps=2))
+        dep.save_folded(folded, tmp_path / "a.ckpt", config_hash="q8")
+        dep.save_folded(dep.load_folded(tmp_path / "a.ckpt"), tmp_path / "b.ckpt",
+                        config_hash="q8")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+class TestFoldedValidation:
+    """load_folded rejects every field the exact integer path relies on."""
+
+    @pytest.fixture
+    def folded(self):
+        return dep.fold_bn(trained_quant_model(seed=24, steps=0))
+
+    @staticmethod
+    def rejected(tmp_path, folded, match, edit_manifest=None):
+        path = tmp_path / "f.ckpt"
+        dep.save_folded(folded, path)
+        if edit_manifest is not None:
+            ckpt = dep.load_checkpoint(path)
+            edit_manifest(ckpt.manifest)
+            arrays = [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]]
+            dep._write_container(path, ckpt.manifest, arrays)
+        with pytest.raises(dep.CheckpointError, match=match):
+            dep.load_folded(path)
+
+    def test_missing_meta(self, tmp_path, folded):
+        self.rejected(tmp_path, folded, "'meta'", lambda m: m.pop("meta"))
+
+    def test_missing_layer_key(self, tmp_path, folded):
+        self.rejected(tmp_path, folded, "'pool_k'",
+                      lambda m: m["meta"]["layers"][1].pop("pool_k"))
+
+    def test_non_integral_weight_index(self, tmp_path, folded):
+        folded.layers[2].weight_idx[0, 0, 0, 0] = 2.5
+        self.rejected(tmp_path, folded, "int_weight")
+
+    def test_weight_index_outside_grid(self, tmp_path, folded):
+        layer = folded.layers[2]
+        layer.weight_idx[0, 0, 0, 0] = layer.weight_levels + 1
+        self.rejected(tmp_path, folded, "int_weight")
+
+    def test_channel_sign_not_unit(self, tmp_path, folded):
+        folded.layers[1].channel_sign[3] = 2.0
+        self.rejected(tmp_path, folded, "channel_sign")
+
+    def test_per_channel_length_mismatch(self, tmp_path, folded):
+        folded.layers[1].offset = folded.layers[1].offset[:-1]
+        self.rejected(tmp_path, folded, "per-channel")
+
+    def test_in_levels_breaks_the_chain(self, tmp_path, folded):
+        folded.layers[3].in_levels += 1
+        self.rejected(tmp_path, folded, "in_levels")
+
+
+# -- exact integer GEMMs ---------------------------------------------------------
+
+
+def int64_conv(x, w, stride, pad):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    k = w.shape[-1]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.einsum("nchwij,ocij->nohw", win, w)
+
+
+def int64_forward(folded, images):
+    """forward_int's arithmetic in int64, written out from the stored fields."""
+    n = images.astype(np.int64)
+    for layer in folded.layers:
+        idx = layer.weight_idx.astype(np.int64)
+        sign = layer.channel_sign.astype(np.int64).reshape(-1, 1, 1, 1)
+        acc = int64_conv(n, (2 * idx - layer.weight_levels) * sign, layer.stride, layer.pad)
+        per_channel = lambda a: a.reshape(1, -1, 1, 1)
+        offset = np.rint(layer.weight_levels * per_channel(layer.offset)).astype(np.int64)
+        clip = np.rint(layer.weight_levels * per_channel(layer.clip)).astype(np.int64)
+        r = per_channel(layer.requant) * np.clip(acc + offset, 0, clip)
+        n = np.clip(np.floor(r + 0.5), 0, layer.out_levels).astype(np.int64)
+        b, c, h, w = n.shape
+        p = layer.pool_k
+        n = n.reshape(b, c, h // p, p, w // p, p).sum(axis=(3, 5))
+    return n.reshape(len(images), -1) @ folded.fc_weight.astype(np.int64)
+
+
+def random_folded(rng, in_levels, specs, size):
+    """Folded chain of ``specs`` ending at ``size`` x ``size``, with random
+    integer weights, offsets and clips that make both clip ends bind, and
+    integer classifier weights so that the logits are exact integers.
+
+    Returns the model and its input size, or None when a layer would need
+    an empty input."""
+    sizes = [size]
+    for spec in reversed(specs):
+        out = sizes[0] * spec["pool"]
+        sizes.insert(0, (out - 1) * spec["stride"] + spec["k"] - 2 * spec["pad"])
+    if min(sizes) < 1:
+        return None
+    layers = []
+    ci = int(rng.integers(1, 4))
+    for i, spec in enumerate(specs):
+        co, levels = spec["co"], spec["levels"]
+        idx = rng.integers(0, levels + 1, size=(co, ci, spec["k"], spec["k"])).astype(float)
+        sign = rng.choice([-1.0, 1.0], size=co)
+        scale = np.abs(2 * idx - levels).reshape(co, -1).sum(axis=1) * in_levels / 2 + 1
+        clip = np.maximum(np.rint(rng.uniform(0.1, 2.0, co) * scale), 1.0)
+        layers.append(dep.FoldedLayer(
+            name=f"conv{i}", weight_idx=idx, channel_sign=sign, weight_levels=levels,
+            stride=spec["stride"], pad=spec["pad"], in_scale=1.0, in_levels=in_levels,
+            offset=rng.uniform(-1.0, 1.0, co) * scale / levels, clip=clip / levels,
+            requant=spec["out_levels"] * rng.uniform(0.5, 2.0, co) / clip,
+            out_alpha=1.0, out_levels=spec["out_levels"], pool_k=spec["pool"],
+        ))
+        in_levels = spec["out_levels"] * spec["pool"] ** 2
+        ci = co
+    width = ci * size * size
+    fc = rng.integers(-3, 4, size=(width, 5)).astype(float)
+    model = dep.FoldedModel(layers=layers, fc_weight=fc, fc_in_scale=1.0, logit_scale=0.5)
+    return model, sizes[0]
+
+
+LAYER_SPEC = st.fixed_dictionaries({
+    "k": st.sampled_from([1, 2, 3]),
+    "stride": st.sampled_from([1, 2]),
+    "pad": st.sampled_from([0, 1]),
+    "pool": st.sampled_from([1, 2]),
+    "co": st.integers(1, 4),
+    "levels": st.integers(1, 255),
+    # up to the accumulator's own range, so that requant factors near 1
+    # pass a unit error in any partial sum through to the output
+    "out_levels": st.integers(1, 2**24),
+})
+WIDE = {"k": 3, "stride": 1, "pad": 1, "pool": 1, "co": 3, "levels": 255, "out_levels": 2**24}
+
+
+class TestExactIntegerGemm:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), in_levels=st.integers(1, 2**16),
+           specs=st.lists(LAYER_SPEC, min_size=1, max_size=2), size=st.integers(1, 3))
+    @example(seed=1, in_levels=2**16, specs=[WIDE], size=3)  # bound past 2^24: float64
+    @example(seed=2, in_levels=255, specs=[dict(WIDE, out_levels=255)] * 2, size=2)  # float32
+    def test_forward_int_equals_int64_oracle(self, seed, in_levels, specs, size):
+        rng = np.random.default_rng(seed)
+        built = random_folded(rng, in_levels, specs, size)
+        assume(built is not None)
+        folded, side = built
+        ci = folded.layers[0].weight_idx.shape[1]
+        images = rng.integers(0, in_levels + 1, size=(2, ci, side, side)).astype(float)
+        want = int64_forward(folded, images)
+        got = folded.forward_int(images)
+        assert np.array_equal(got, want.astype(np.float64))
+
+    def test_sums_past_float32_stay_exact(self):
+        # B = 3 * 2^23 needs float64; float32 would return 2^24 for 2^24 + 1
+        ones = np.ones(1)
+        layer = dep.FoldedLayer(
+            name="wide", weight_idx=np.ones((1, 3, 1, 1)), channel_sign=ones,
+            weight_levels=1, stride=1, pad=0, in_scale=1.0, in_levels=2**23,
+            offset=0 * ones, clip=ones * 2**25, requant=ones, out_alpha=1.0,
+            out_levels=2**25, pool_k=1,
+        )
+        folded = dep.FoldedModel(layers=[layer], fc_weight=np.ones((1, 1)),
+                                 fc_in_scale=1.0, logit_scale=1.0)
+        images = np.array([2**23, 2**23 - 1, 2], dtype=float).reshape(1, 3, 1, 1)
+        assert folded.forward_int(images)[0, 0] == 2**24 + 1
+
+    def test_accumulator_bound_past_float64_rejected(self):
+        ones = np.ones(1)
+        layer = dep.FoldedLayer(
+            name="huge", weight_idx=np.ones((1, 2, 1, 1)), channel_sign=ones,
+            weight_levels=1, stride=1, pad=0, in_scale=1.0, in_levels=2**53,
+            offset=0 * ones, clip=ones, requant=ones, out_alpha=1.0,
+            out_levels=1, pool_k=1,
+        )
+        folded = dep.FoldedModel(layers=[layer], fc_weight=np.ones((1, 1)),
+                                 fc_in_scale=1.0, logit_scale=1.0)
+        images = np.full((1, 2, 1, 1), 2.0**53 - 2)
+        with pytest.raises(dep.FoldError, match="2\\^53"):
+            folded.forward_int(images)
