@@ -20,6 +20,7 @@ from .tensor import (
     DomainError,
     Tensor,
     _record,
+    is_grad_enabled,
     mean_square_value,
     register_custom_backward,
 )
@@ -154,28 +155,21 @@ def qk(x: Tensor, bits: int) -> Tensor:
     return _qk_op(bits)(x)
 
 
-def _dorefa_forward(w):
-    t = np.tanh(w)
+def dorefa_clamp(w: Tensor) -> Tensor:
+    """Map raw weights into [0, 1] by tanh-normalizing with the detached
+    per-layer max of |tanh|.  Raises DegenerateLayerError on all-zero input.
+    """
+    t = np.tanh(w.data)
     m = float(np.max(np.abs(t)))
     if m == 0.0:
         raise DegenerateLayerError("all-zero weight tensor cannot be clamped")
-    return t / (2.0 * m) + 0.5
+    out = Tensor(t / (2.0 * m) + 0.5)
 
+    def backward(g):
+        # the per-layer max is a detached constant; only tanh' flows
+        return (g * (1.0 - t * t) / (2.0 * m),)
 
-def _dorefa_backward(g, w):
-    t = np.tanh(w)
-    m = float(np.max(np.abs(t)))
-    # the per-layer max is a detached constant; only tanh' flows
-    return g * (1.0 - t * t) / (2.0 * m)
-
-
-dorefa_clamp = register_custom_backward(
-    _dorefa_forward, _dorefa_backward, name="dorefa_clamp"
-)
-dorefa_clamp.__doc__ = (
-    "Map raw weights into [0, 1] by tanh-normalizing with the detached "
-    "per-layer max of |tanh|.  Raises DegenerateLayerError on all-zero input."
-)
+    return _record("dorefa_clamp", out, (w,), backward)
 
 
 def signed_clamped(wt: Tensor) -> Tensor:
@@ -282,16 +276,18 @@ def pact_quantize(x: Tensor, state: PactState) -> Tensor:
     ratio = clipped / a_val
     q_ratio = _qk_array(ratio, levels)
     out = Tensor(np.asarray(a_val * q_ratio, dtype=xd.dtype))
-    mode = state.mode
+    if not is_grad_enabled():
+        return out
+    below = xd < a_val
+    in_window = (xd > 0) & below
+    if state.mode is PactBackward.CG:
+        per_elem = np.where(below, q_ratio - ratio, 1.0)
+    else:
+        per_elem = np.where(below, 0.0, 1.0)
 
     def backward(g):
-        gx = g * ((xd > 0) & (xd < a_val))
-        if mode is PactBackward.CG:
-            per_elem = np.where(xd < a_val, q_ratio - ratio, 1.0)
-        else:
-            per_elem = np.where(xd < a_val, 0.0, 1.0)
         ga = np.asarray(alpha_grad_reduce(g * per_elem), dtype=state.alpha.data.dtype)
-        return (gx, ga.reshape(state.alpha.shape))
+        return (g * in_window, ga.reshape(state.alpha.shape))
 
     return _record("pact_quantize", out, (x, state.alpha), backward)
 

@@ -9,6 +9,10 @@ The tape is freed after every ``backward()`` call; training loops rebuild
 the graph each step.  Reductions accumulate in float64 regardless of the
 storage dtype so that variance statistics taken across layers of very
 different sizes stay stable.
+
+4-D tensors always have NCHW shape, but convolution outputs and the
+gradients flowing back into them are channels-last in memory.  Ops whose
+result depends on memory order copy to NCHW first.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import inspect
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -158,7 +161,8 @@ class Tensor:
                             f"for input of shape {parent.data.shape}"
                         )
                     if parent.grad is None:
-                        parent.grad = g.copy()
+                        # order="K" keeps a channels-last gradient channels-last
+                        parent.grad = g.copy(order="K")
                     else:
                         parent.grad += g
         finally:
@@ -406,9 +410,13 @@ def mean_square_value(arr) -> float:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
+    """Patch rows of an NCHW-shaped array of any memory layout.
+
+    Rows run over (n, ho, wo) and columns over (c, ki, kj).  The input is
+    read once into a padded channels-last buffer; each of the k*k kernel
+    offsets is then one slice copy into the rows.
+    """
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     hp, wp = h + 2 * pad, w + 2 * pad
     if (hp - k) % stride or (wp - k) % stride:
         raise ShapeError(
@@ -417,28 +425,35 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
         )
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    col = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            col[..., i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
     return col.reshape(n * ho * wo, c * k * k), ho, wo, (hp, wp)
 
 
 def _col2im(dcol, x_shape, k, stride, pad, ho, wo, padded_shape):
+    """Scatter-add patch-row gradients back to an NCHW-shaped view of a
+    channels-last array; the inverse of ``_im2col``'s gather."""
     n, c, h, w = x_shape
     hp, wp = padded_shape
-    dxp = np.zeros((n, c, hp, wp), dtype=dcol.dtype)
-    d6 = dcol.reshape(n, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+    dxp = np.zeros((n, hp, wp, c), dtype=dcol.dtype)
+    d6 = dcol.reshape(n, ho, wo, c, k, k)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += d6[
-                :, :, i, j, :, :
-            ]
-    if pad:
-        return dxp[:, :, pad : hp - pad, pad : wp - pad]
-    return dxp
+            dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += d6[..., i, j]
+    return dxp[:, pad : hp - pad, pad : wp - pad].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of NxCxHxW input with C'xCxkxk kernels, no bias."""
+    """Cross-correlation of NxCxHxW input with C'xCxkxk kernels, no bias.
+
+    The output has NCHW shape and channels-last memory: it is the GEMM's
+    (n*ho*wo, C') result viewed, not copied.  Backward reads its gradient
+    the same way and skips the input gradient when ``x`` needs none.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape} and {w.shape}")
     co, ci, k, k2 = w.shape
@@ -451,18 +466,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     n = x.shape[0]
     col, ho, wo, padded = _im2col(x.data, k, stride, pad)
     wmat = w.data.reshape(co, ci * k * k)
-    out_mat = col @ wmat.T
-    out = Tensor(
-        np.ascontiguousarray(
-            out_mat.reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
-        )
-    )
+    out = Tensor((col @ wmat.T).reshape(n, ho, wo, co).transpose(0, 3, 1, 2))
 
     def backward(g):
-        gcol = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, co)
+        gcol = g.transpose(0, 2, 3, 1).reshape(-1, co)
         dw = (gcol.T @ col).reshape(w.shape)
-        dcol = gcol @ wmat
-        dx = _col2im(dcol, x.shape, k, stride, pad, ho, wo, padded)
+        if not x.requires_grad:
+            return (None, dw)
+        dx = _col2im(gcol @ wmat, x.shape, k, stride, pad, ho, wo, padded)
         return (dx, dw)
 
     return _record("conv2d", out, (x, w), backward)
@@ -475,12 +486,15 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    win = x.data.reshape(n, c, h // k, k, w // k, k)
+    # float32 sums follow memory order, so the mean runs over an NCHW copy
+    win = np.ascontiguousarray(x.data).reshape(n, c, h // k, k, w // k, k)
     out = Tensor(win.mean(axis=(3, 5)))
     inv = 1.0 / (k * k)
 
     def backward(g):
-        gx = np.repeat(np.repeat(g, k, axis=2), k, axis=3) * inv
+        # keeps x's memory layout; splitting an axis always reshapes to a view
+        gx = np.empty_like(x.data)
+        gx.reshape(n, c, h // k, k, w // k, k)[...] = (g * inv)[:, :, :, None, :, None]
         return (gx,)
 
     return _record("avg_pool2d", out, (x,), backward)

@@ -21,6 +21,8 @@ from qsat.tensor import (
     sqrt,
     tanh,
 )
+from qsat.network import BatchNorm2d, build_preset
+from qsat.training import cross_entropy
 
 
 def rand(shape, seed, scale=1.0):
@@ -98,6 +100,115 @@ class TestConv2d:
             lambda t: mean_square(conv2d(x, t, stride=1, pad=1)), Tensor(wv)
         )
         assert err <= 1e-5
+
+
+    @pytest.mark.parametrize("stride,pad,size", [(2, 1, 7), (1, 0, 6), (2, 0, 7)],
+                             ids=["stride2", "pad0", "stride2-pad0"])
+    def test_backward_vs_finite_differences_stride_and_pad(self, stride, pad, size):
+        xv = rand((2, 3, size, size), seed=3)
+        wv = rand((4, 3, 3, 3), seed=4)
+        w = Tensor(wv)
+        err = finite_difference_check(
+            lambda t: mean_square(conv2d(t, w, stride=stride, pad=pad)), Tensor(xv)
+        )
+        assert err <= 1e-5
+        x = Tensor(xv)
+        err = finite_difference_check(
+            lambda t: mean_square(conv2d(x, t, stride=stride, pad=pad)), Tensor(wv)
+        )
+        assert err <= 1e-5
+
+    def test_input_without_grad_skips_input_gradient(self, monkeypatch):
+        def no_scatter(*args):
+            raise AssertionError("_col2im called for an input that needs no gradient")
+
+        monkeypatch.setattr(T, "_col2im", no_scatter)
+        x = Tensor(rand((2, 3, 8, 8), seed=5))
+        w = Tensor(rand((4, 3, 3, 3), seed=6), requires_grad=True)
+        mean_square(conv2d(x, w, stride=1, pad=1)).backward()
+        assert x.grad is None
+        assert w.grad is not None and np.any(w.grad != 0)
+
+
+def channels_last(a):
+    """Copy of an NCHW array whose memory runs channels-last, shape unchanged."""
+    out = np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert out.shape == a.shape and not out.flags.c_contiguous
+    return out
+
+
+class TestLayoutInvariance:
+    """Memory layout is invisible: an NCHW-contiguous input and its
+    channels-last copy give bit-identical outputs and gradients."""
+
+    @staticmethod
+    def both_layouts(run, x):
+        first = run(np.ascontiguousarray(x))
+        second = run(channels_last(x))
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stride,pad,size", [(1, 1, 8), (2, 1, 9), (1, 0, 8)])
+    def test_conv2d(self, stride, pad, size):
+        wv = rand((5, 3, 3, 3), seed=51).astype(np.float32)
+        up = rand((4, 5, (size + 2 * pad - 3) // stride + 1,
+                   (size + 2 * pad - 3) // stride + 1), seed=52).astype(np.float32)
+
+        def run(xv):
+            x = Tensor(xv, requires_grad=True)
+            w = Tensor(wv, requires_grad=True)
+            out = conv2d(x, w, stride=stride, pad=pad)
+            (out * Tensor(up)).sum().backward()
+            return out.data, x.grad, w.grad
+
+        self.both_layouts(run, rand((4, 3, size, size), seed=50).astype(np.float32))
+
+    def test_batch_norm(self):
+        up = rand((4, 6, 8, 8), seed=54).astype(np.float32)
+
+        def run(xv):
+            bn = BatchNorm2d(6)
+            bn.gamma.data = (1.0 + 0.1 * rand(6, seed=55)).astype(np.float32)
+            bn.beta.data = rand(6, seed=56).astype(np.float32)
+            x = Tensor(xv, requires_grad=True)
+            out = bn(x, training=True)
+            (out * Tensor(up)).sum().backward()
+            with no_grad():
+                frozen = bn(Tensor(xv), training=False)
+            return (out.data, x.grad, bn.gamma.grad, bn.beta.grad,
+                    bn.running_mean, bn.running_var, frozen.data)
+
+        self.both_layouts(run, rand((4, 6, 8, 8), seed=53, scale=2.0).astype(np.float32))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_avg_pool(self, k):
+        up = rand((3, 5, 8 // k, 8 // k), seed=58).astype(np.float32)
+
+        def run(xv):
+            x = Tensor(xv, requires_grad=True)
+            out = avg_pool2d(x, k)
+            (out * Tensor(up)).sum().backward()
+            return out.data, x.grad
+
+        # float32 means over windows of mixed magnitudes round differently
+        # when summed in a different order
+        xv = rand((3, 5, 8, 8), seed=57) * 10.0 ** rand((3, 5, 8, 8), seed=59)
+        self.both_layouts(run, xv.astype(np.float32))
+
+    def test_convnet_bn_4bit_training_step(self):
+        images = rand((4, 3, 32, 32), seed=60).astype(np.float32)
+        labels = np.array([0, 3, 7, 9])
+
+        def run(xv):
+            model = build_preset("convnet-bn", weight_bits=4, act_bits=4, seed=61)
+            logits = model.forward(Tensor(xv), training=True)
+            loss = cross_entropy(logits, labels)
+            loss.backward()
+            return [logits.data, loss.data] + [p.grad for p in model.parameters()]
+
+        self.both_layouts(run, images)
 
 
 class TestMeanSquare:
