@@ -121,6 +121,28 @@ def _scheme_json(model, tensor_name: str):
     return None
 
 
+def _check_manifest(path, manifest) -> None:
+    """The manifest schema: a list of uniquely named tensors with shapes."""
+    entries = manifest.get("tensors") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{path}: manifest is not an object with a 'tensors' list")
+    names = set()
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointError(f"{path}: tensor entry {i} has no name")
+        name, shape = entry["name"], entry.get("shape")
+        if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape
+        ):
+            raise CheckpointError(
+                f"{path}: tensor '{name}' shape {shape!r} is not a list of "
+                "non-negative integers"
+            )
+        if name in names:
+            raise CheckpointError(f"{path}: duplicate tensor name '{name}'")
+        names.add(name)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a container; returns manifest plus tensor arrays."""
     with open(path, "rb") as fh:
@@ -139,6 +161,7 @@ def load_checkpoint(path) -> Checkpoint:
         manifest = json.loads(blob[16 : 16 + mlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt manifest: {exc}") from exc
+    _check_manifest(path, manifest)
     payload = blob[16 + mlen :]
     expected = sum(
         4 * int(np.prod(t["shape"], dtype=np.int64).item() if t["shape"] else 1)

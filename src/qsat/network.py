@@ -16,8 +16,7 @@ are explicitly requested.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +41,6 @@ from .quant import (
 )
 
 __all__ = [
-    "LayerKind",
-    "LayerSpec",
     "BatchNorm2d",
     "Conv2dLayer",
     "DenseLayer",
@@ -53,6 +50,7 @@ __all__ = [
     "PreResNetToy",
     "PRESETS",
     "build_preset",
+    "linear_layer_count",
     "forward_block",
     "validate_model",
     "MIN_EDGE_BITS",
@@ -63,45 +61,6 @@ log = logging.getLogger("qsat.network")
 MIN_EDGE_BITS = 8
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-
-
-class LayerKind(Enum):
-    CONV = "conv"
-    FC = "fc"
-    BN = "bn"
-    RELU = "relu"
-    AVGPOOL = "avgpool"
-    MAXPOOL = "maxpool"
-
-
-@dataclass
-class LayerSpec:
-    """Declarative description of one layer inside a block."""
-
-    kind: LayerKind
-    in_channels: int = 0
-    out_channels: int = 0
-    kernel: int = 0
-    stride: int = 1
-    pad: int = 0
-    pool_kernel: int = 1
-    scheme: QuantScheme | None = None
-    follows_bn: bool = False
-
-    def violations(self) -> list[str]:
-        out = []
-        if self.kind in (LayerKind.CONV, LayerKind.FC):
-            quantish = self.scheme is not None
-            if (
-                quantish
-                and not self.follows_bn
-                and self.scheme.rescale is RescaleMode.NONE
-            ):
-                out.append(
-                    f"{self.kind.value} layer without following BN has no rescale "
-                    "(gradient scales will diverge across layers)"
-                )
-        return out
 
 
 class BatchNorm2d:
@@ -253,8 +212,14 @@ class Pool:
         return 1.0 if self.kind == "max" else float(self.k)
 
 
+def _activate(h: Tensor, pact: PactState | None) -> Tensor:
+    """ReLU, or PACT alone: its clip at zero already is the ReLU, in value
+    and in gradient, so the ReLU in front of it would change no bit."""
+    return relu(h) if pact is None else pact_quantize(h, pact)
+
+
 class Block:
-    """linear -> optional BN -> ReLU (+ optional PACT) -> optional pool."""
+    """linear -> optional BN -> ReLU or PACT -> optional pool."""
 
     def __init__(self, conv: Conv2dLayer, bn: BatchNorm2d | None,
                  act: bool, pact: PactState | None, pool: Pool | None):
@@ -268,10 +233,8 @@ class Block:
         h = self.conv(x)
         if self.bn is not None:
             h = self.bn(h, training)
-        if self.act:
-            h = relu(h)
-        if self.pact is not None:
-            h = pact_quantize(h, self.pact)
+        if self.act or self.pact is not None:
+            h = _activate(h, self.pact)
         if self.pool is not None:
             h = self.pool(h)
         return h
@@ -456,14 +419,8 @@ class _PreActResBlock:
         self.conv2 = conv2
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        h = relu(self.bn1(x, training))
-        if self.pact1 is not None:
-            h = pact_quantize(h, self.pact1)
-        h = self.conv1(h)
-        h = relu(self.bn2(h, training))
-        if self.pact2 is not None:
-            h = pact_quantize(h, self.pact2)
-        h = self.conv2(h)
+        h = self.conv1(_activate(self.bn1(x, training), self.pact1))
+        h = self.conv2(_activate(self.bn2(h, training), self.pact2))
         return x + h
 
 
@@ -496,10 +453,7 @@ class PreResNetToy(_ModelBase):
             h = block.forward(h, training)
             if pool is not None:
                 h = pool(h)
-        h = relu(self.bn_out(h, training))
-        if self.pact_out is not None:
-            h = pact_quantize(h, self.pact_out)
-        h = self.pool_out(h)
+        h = self.pool_out(_activate(self.bn_out(h, training), self.pact_out))
         n = h.shape[0]
         h = h.reshape((n, int(np.prod(h.shape[1:]))))
         return self.fc(h)
@@ -587,6 +541,11 @@ _POOL_PLANS = {
 }
 
 
+def linear_layer_count(preset: str) -> int:
+    """Convs plus the FC that a preset builds; ``layer<i>`` indexes them."""
+    return len(_CONVNET_CHANNELS) + 1 if preset.startswith("convnet") else 6
+
+
 def _normalize_bits(bits) -> int | None | str:
     """'raw' -> raw weights, 'fp'/None -> full precision, int -> quantized."""
     if bits in ("raw", "vanilla"):
@@ -628,7 +587,7 @@ def build_preset(
     overrides = layer_overrides or {}
     rng = np.random.default_rng([seed, 0x5CA1E])
 
-    n_linear = 7 if name.startswith("convnet") else 6
+    n_linear = linear_layer_count(name)
 
     def layer_bits(idx: int) -> int | None | str:
         o = overrides.get(idx, {})

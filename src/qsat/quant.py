@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "constant_rescale",
     "stddev_rescale",
     "effective_weight",
-    "pact_clip",
     "pact_quantize",
     "alpha_grad_reduce",
     "ALPHA_INIT",
@@ -238,24 +237,6 @@ def effective_weight(w: Tensor, scheme: QuantScheme) -> Tensor:
     return eff
 
 
-@functools.lru_cache(maxsize=None)
-def _pact_clip_op(alpha: float):
-    def clip_forward(x):
-        return np.minimum(np.maximum(x, 0.0), alpha)
-
-    def clip_backward(g, x):
-        return g * ((x > 0) & (x < alpha))
-
-    return register_custom_backward(clip_forward, clip_backward, name="pact_clip")
-
-
-def pact_clip(x: Tensor, alpha: float) -> Tensor:
-    """Hard clip to [0, alpha]; gradient is the interior indicator."""
-    if alpha <= 0:
-        raise DomainError(f"clip level must be positive, got {alpha}")
-    return _pact_clip_op(float(alpha))(x)
-
-
 def pact_quantize(x: Tensor, state: PactState) -> Tensor:
     """Clip to [0, alpha], quantize on the alpha-scaled grid.
 
@@ -272,21 +253,36 @@ def pact_quantize(x: Tensor, state: PactState) -> Tensor:
         raise DomainError(f"clip level must be positive, got {a_val}")
     levels = 2**state.bits - 1
     xd = x.data
-    clipped = np.minimum(np.maximum(xd, 0.0), a_val)
-    ratio = clipped / a_val
-    q_ratio = _qk_array(ratio, levels)
-    out = Tensor(np.asarray(a_val * q_ratio, dtype=xd.dtype))
+    # alpha * floor(min(max(x, 0), alpha) / alpha * levels + 0.5) / levels,
+    # op by op in that order (so to the same bytes), in place in two buffers
+    ratio = np.maximum(xd, 0.0)
+    np.minimum(ratio, a_val, out=ratio)
+    ratio /= a_val
+    q = ratio * levels
+    q += 0.5
+    np.floor(q, out=q)
+    q /= levels
     if not is_grad_enabled():
-        return out
+        q *= a_val
+        return Tensor(q)
     below = xd < a_val
-    in_window = (xd > 0) & below
+    in_window = xd > 0
+    in_window &= below
     if state.mode is PactBackward.CG:
-        per_elem = np.where(below, q_ratio - ratio, 1.0)
+        per_elem = np.subtract(q, ratio, out=ratio)
+        np.copyto(per_elem, 1.0, where=~below)
     else:
-        per_elem = np.where(below, 0.0, 1.0)
+        per_elem = None
+    q *= a_val
+    out = Tensor(q)
 
     def backward(g):
-        ga = np.asarray(alpha_grad_reduce(g * per_elem), dtype=state.alpha.data.dtype)
+        if per_elem is None:
+            # LEGACY: 0 below the clip, 1 at or above it, summed in float64
+            scaled = np.multiply(g, ~below, dtype=np.float64)
+        else:
+            scaled = g * per_elem
+        ga = np.asarray(alpha_grad_reduce(scaled), dtype=state.alpha.data.dtype)
         return (g * in_window, ga.reshape(state.alpha.shape))
 
     return _record("pact_quantize", out, (x, state.alpha), backward)

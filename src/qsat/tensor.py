@@ -10,9 +10,10 @@ the graph each step.  Reductions accumulate in float64 regardless of the
 storage dtype so that variance statistics taken across layers of very
 different sizes stay stable.
 
-4-D tensors always have NCHW shape, but convolution outputs and the
-gradients flowing back into them are channels-last in memory.  Ops whose
-result depends on memory order copy to NCHW first.
+4-D tensors always have NCHW shape, but convolution and pooling outputs
+and the gradients flowing back into them are channels-last in memory.
+Float32 sums follow memory order, so average pooling fixes its summation
+order explicitly instead of relying on the layout it is given.
 """
 
 from __future__ import annotations
@@ -480,22 +481,43 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping kxk mean pooling (window average, stride k)."""
+    """Non-overlapping kxk mean pooling (window average, stride k).
+
+    Windows narrower than 8 and than the plane are summed on the
+    channels-last view in numpy's own order for ``mean(axis=(3, 5))`` over
+    an NCHW copy: each window row left to right, then the row sums top to
+    bottom onto +0.  The output is channels-last.  Wider windows, and
+    windows as wide as the plane (one contiguous run in that copy, which
+    numpy sums as such), take that mean directly.
+    """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects a 4-D input, got {x.shape}")
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    # float32 sums follow memory order, so the mean runs over an NCHW copy
-    win = np.ascontiguousarray(x.data).reshape(n, c, h // k, k, w // k, k)
-    out = Tensor(win.mean(axis=(3, 5)))
+    ho, wo = h // k, w // k
+    if k >= 8 or wo == 1:
+        win = np.ascontiguousarray(x.data).reshape(n, c, ho, k, wo, k)
+        data = win.mean(axis=(3, 5))
+    else:
+        xv = x.data.transpose(0, 2, 3, 1)
+        acc = np.zeros((n, ho, wo, c), dtype=x.dtype)
+        row = np.empty_like(acc)
+        for i in range(k):
+            np.copyto(row, xv[:, i::k, 0::k])
+            for j in range(1, k):
+                row += xv[:, i::k, j::k]
+            acc += row
+        # numpy's mean divides by the intp item count
+        np.true_divide(acc, np.intp(k * k), out=acc, casting="unsafe")
+        data = acc.transpose(0, 3, 1, 2)
+    out = Tensor(data)
     inv = 1.0 / (k * k)
 
     def backward(g):
-        # keeps x's memory layout; splitting an axis always reshapes to a view
-        gx = np.empty_like(x.data)
-        gx.reshape(n, c, h // k, k, w // k, k)[...] = (g * inv)[:, :, :, None, :, None]
-        return (gx,)
+        gx = np.empty((n, ho, k, wo, k, c), dtype=x.dtype)
+        gx[...] = (g * inv).transpose(0, 2, 3, 1)[:, :, None, :, None, :]
+        return (gx.reshape(n, h, w, c).transpose(0, 3, 1, 2),)
 
     return _record("avg_pool2d", out, (x,), backward)
 

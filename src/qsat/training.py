@@ -20,7 +20,7 @@ import numpy as np
 
 from .tensor import DomainError, Tensor, _record, no_grad
 from .quant import PactBackward, RescaleMode
-from .network import build_preset, PRESETS
+from .network import build_preset, linear_layer_count, PRESETS
 from .data import ArrayDataset, Batch, DatasetError, load_dataset
 from . import diagnostics
 
@@ -91,13 +91,33 @@ class TrainConfig:
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError("warmup_epochs must satisfy 0 <= warmup < epochs")
         for name in ("bits", "act_bits"):
-            value = getattr(self, name)
-            if value not in ("raw", "fp") and not value.isdigit():
-                raise ConfigError(f"{name} must be 'raw', 'fp', or an integer")
+            if not _valid_bits(getattr(self, name), ("raw", "fp")):
+                raise ConfigError(f"{name} must be 'raw', 'fp', or an integer 1..16")
+        if not _valid_bits(self.first_last_bits, ("uniform",)):
+            raise ConfigError("first_last_bits must be 'uniform' or an integer 1..16")
+        n_linear = linear_layer_count(self.preset)
+        for idx, override in self.layer_overrides.items():
+            if not 0 <= idx < n_linear:
+                raise ConfigError(f"layer{idx}: preset '{self.preset}' has linear "
+                                  f"layers 0..{n_linear - 1}")
+            if "bits" in override and not _valid_bits(override["bits"], ("raw", "fp")):
+                raise ConfigError(f"layer{idx}.bits must be 'raw', 'fp', or an integer 1..16")
         if self.rescale not in ("none", "constant", "stddev"):
             raise ConfigError("rescale must be none, constant, or stddev")
         if self.pact_mode not in ("cg", "legacy"):
             raise ConfigError("pact_mode must be cg or legacy")
+        if not math.isfinite(self.base_lr):
+            raise ConfigError("base_lr must be finite")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("momentum must satisfy 0 <= momentum < 1")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.diag_every < 1:
+            raise ConfigError("diag_every must be >= 1")
+        if self.train_size < 1 or self.val_size < 1:
+            raise ConfigError("train_size and val_size must be >= 1")
 
     @property
     def quantized(self) -> bool:
@@ -106,6 +126,10 @@ class TrainConfig:
     @property
     def peak_lr(self) -> float:
         return self.base_lr * self.batch_size / 256.0
+
+
+def _valid_bits(value: str, words: tuple[str, ...]) -> bool:
+    return value in words or (value.isdecimal() and 1 <= int(value) <= 16)
 
 
 _INT_KEYS = {"epochs", "batch_size", "warmup_epochs", "seed", "diag_every",

@@ -82,6 +82,14 @@ class TestTrainCommand:
         assert code == 2
         assert "bits" in err
 
+    def test_out_of_range_config_value_is_exit_two(self, tmp_path, tiny_config, capsys):
+        cfg = tiny_config(extra="momentum=nan\n")
+        code, _, err = run_cli(capsys, "train", "--config", cfg,
+                               "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "momentum" in err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_dataset_is_exit_three(self, tmp_path, tiny_config, capsys):
         cfg_path = tmp_path / "d.cfg"
         cfg_path.write_text(

@@ -93,6 +93,44 @@ class TestCheckpointContainer:
         ]
         assert diffs  # round-trip comparison catches the flip
 
+    @staticmethod
+    def with_manifest(tmp_path, edit):
+        model = trained_quant_model(seed=3, steps=0)
+        path = tmp_path / "m.ckpt"
+        dep.save_checkpoint(model, path)
+        ckpt = dep.load_checkpoint(path)
+        arrays = [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]]
+        dep._write_container(path, edit(ckpt.manifest), arrays)
+        return path
+
+    def test_list_manifest_rejected(self, tmp_path):
+        path = self.with_manifest(tmp_path, lambda m: m["tensors"])
+        with pytest.raises(dep.CheckpointError, match="'tensors' list"):
+            dep.load_checkpoint(path)
+
+    def test_missing_tensors_key_rejected(self, tmp_path):
+        path = self.with_manifest(
+            tmp_path, lambda m: {k: v for k, v in m.items() if k != "tensors"})
+        with pytest.raises(dep.CheckpointError, match="'tensors' list"):
+            dep.load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[16, "3", 3, 3], [16, 3.0, 3, 3], "16x3x3x3", [-16, 3, 3, 3]])
+    def test_non_integer_shape_rejected(self, tmp_path, shape):
+        def edit(m):
+            m["tensors"][0]["shape"] = shape
+            return m
+
+        with pytest.raises(dep.CheckpointError, match="shape"):
+            dep.load_checkpoint(self.with_manifest(tmp_path, edit))
+
+    def test_duplicate_tensor_names_rejected(self, tmp_path):
+        def edit(m):
+            m["tensors"][1]["name"] = m["tensors"][0]["name"]
+            return m
+
+        with pytest.raises(dep.CheckpointError, match="duplicate"):
+            dep.load_checkpoint(self.with_manifest(tmp_path, edit))
+
     def test_fp_checkpoint_loads_into_quantized_config(self, tmp_path):
         fp = build_preset("convnet-bn", weight_bits="fp",
                           rescale=RescaleMode.CONSTANT, seed=6)

@@ -13,7 +13,8 @@ from qsat.network import (
     forward_block,
     validate_model,
 )
-from qsat.quant import PactBackward, QuantScheme, RescaleMode
+from qsat import tensor as tensor_module
+from qsat.quant import PactBackward, PactState, QuantScheme, RescaleMode, pact_quantize
 from qsat.tensor import (
     DomainError,
     ShapeError,
@@ -22,6 +23,7 @@ from qsat.tensor import (
     mean_square,
     mean_square_value,
     no_grad,
+    relu,
 )
 
 
@@ -121,6 +123,82 @@ class TestForwardBlock:
         block = Block(conv, None, act=True, pact=None, pool=None)
         with pytest.raises(ShapeError):
             forward_block(Tensor(np.zeros((1, 5, 8, 8))), block)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def run_and_record(forward, x, params):
+    """Forward, the ops it put on the tape, then gradients of a fixed loss."""
+    t = Tensor(x, requires_grad=True)
+    out = forward(t)
+    ops = [node.op for node in tensor_module._tape]
+    up = Tensor(rand(out.shape, seed=99).astype(np.float32))
+    (out * up).sum().backward()
+    return ops, [out.data, t.grad] + [p.grad for p in params]
+
+
+class TestPactSubsumesRelu:
+    """With PACT after it, the ReLU is left out; outputs and gradients
+    equal those of ReLU followed by PACT to the bit."""
+
+    @staticmethod
+    def pact(mode):
+        return PactState.create(4, mode, init=1.5)
+
+    @pytest.mark.parametrize("mode", [PactBackward.CG, PactBackward.LEGACY])
+    def test_convnet_bn_block(self, mode):
+        def make():
+            conv = Conv2dLayer("c", 3, 8, 3, pad=1, scheme=QuantScheme(4),
+                               follows_bn=True, rng=np.random.default_rng(40))
+            return Block(conv, BatchNorm2d(8), act=True, pact=self.pact(mode),
+                         pool=Pool("avg", 2))
+
+        def reference(b, t):
+            h = b.bn(b.conv(t), True)
+            return b.pool(pact_quantize(relu(h), b.pact))
+
+        def params(b):
+            return [b.conv.w, b.bn.gamma, b.bn.beta, b.pact.alpha]
+
+        x = rand((4, 3, 8, 8), seed=41).astype(np.float32)
+        b1, b2 = make(), make()
+        ops, got = run_and_record(lambda t: b1.forward(t, True), x, params(b1))
+        _, want = run_and_record(lambda t: reference(b2, t), x, params(b2))
+        assert "relu" not in ops and "pact_quantize" in ops
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert same_bits(b1.bn.running_var, b2.bn.running_var)
+
+    @pytest.mark.parametrize("mode", [PactBackward.CG, PactBackward.LEGACY])
+    def test_preresnet_block(self, mode):
+        def make():
+            model = build_preset("preresnet-toy", weight_bits=4, act_bits=4,
+                                 rescale=RescaleMode.CONSTANT, pact_mode=mode, seed=42)
+            return model.res_blocks[0]
+
+        def reference(b, t):
+            h = b.conv1(pact_quantize(relu(b.bn1(t, True)), b.pact1))
+            h = b.conv2(pact_quantize(relu(b.bn2(h, True)), b.pact2))
+            return t + h
+
+        def params(b):
+            return [b.bn1.gamma, b.bn1.beta, b.pact1.alpha, b.conv1.w,
+                    b.bn2.gamma, b.bn2.beta, b.pact2.alpha, b.conv2.w]
+
+        x = rand((4, 16, 8, 8), seed=43).astype(np.float32)
+        b1, b2 = make(), make()
+        ops, got = run_and_record(lambda t: b1.forward(t, True), x, params(b1))
+        _, want = run_and_record(lambda t: reference(b2, t), x, params(b2))
+        assert "relu" not in ops and ops.count("pact_quantize") == 2
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    def test_relu_kept_without_pact(self):
+        model = build_preset("preresnet-toy", weight_bits="raw", seed=44)
+        ops, _ = run_and_record(lambda t: model.res_blocks[0].forward(t, True),
+                                rand((2, 16, 8, 8), seed=45).astype(np.float32), [])
+        assert ops.count("relu") == 2
 
 
 class TestPresets:

@@ -14,7 +14,6 @@ from qsat.quant import (
     constant_rescale,
     dorefa_clamp,
     effective_weight,
-    pact_clip,
     pact_quantize,
     qk,
     quantize_weight,
@@ -27,6 +26,7 @@ from qsat.tensor import (
     mean_square,
     mean_square_value,
     no_grad,
+    register_custom_backward,
     sqrt,
 )
 
@@ -277,26 +277,6 @@ class TestEffectiveWeight:
             QuantScheme(bits=4, rescale=RescaleMode.CONSTANT, fan_out=None)
 
 
-class TestPactClip:
-    def test_three_branches(self):
-        out = pact_clip(Tensor([-1.0, 1.0, 3.0]), 2.0)
-        npt.assert_array_equal(out.data, [0.0, 1.0, 2.0])
-
-    def test_backward_indicator(self):
-        g = grads_of(lambda t: pact_clip(t, 2.0).sum(), [-1.0, 1.0, 3.0])
-        npt.assert_array_equal(g, [0.0, 1.0, 0.0])
-
-    def test_continuity_at_the_clip(self):
-        eps = 1e-9
-        lo = pact_clip(Tensor([2.0 - eps]), 2.0).item()
-        hi = pact_clip(Tensor([2.0 + eps]), 2.0).item()
-        assert abs(hi - lo) <= 2 * eps
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(DomainError):
-            pact_clip(Tensor([1.0]), 0.0)
-
-
 def pact(bits, mode, alpha=2.0):
     return PactState(
         Tensor(np.asarray(alpha, dtype=np.float64), requires_grad=True), bits, mode
@@ -360,8 +340,8 @@ class TestPactQuantize:
         alpha = 1.5
         x = Tensor(np.random.default_rng(16).uniform(-1.0, 3.0, size=2000))
         q = pact_quantize(x, pact(16, PactBackward.CG, alpha))
-        clip = pact_clip(Tensor(x.data), alpha)
-        assert np.max(np.abs(q.data - clip.data)) <= alpha / 2**16
+        clip = np.clip(x.data, 0.0, alpha)
+        assert np.max(np.abs(q.data - clip)) <= alpha / 2**16
 
     def test_alpha_positive_enforced(self):
         with pytest.raises(DomainError):
@@ -369,6 +349,79 @@ class TestPactQuantize:
         state = pact(2, PactBackward.CG, alpha=1e-9)
         state.clamp_alpha()
         assert state.alpha_value == pytest.approx(1e-3)
+
+
+def pact_reference(xd, a_val, bits, mode, g):
+    """The plain PACT expressions: output, input gradient, alpha gradient."""
+    levels = 2**bits - 1
+    clipped = np.minimum(np.maximum(xd, 0.0), a_val)
+    ratio = clipped / a_val
+    q_ratio = np.floor(ratio * levels + 0.5) / levels
+    out = np.asarray(a_val * q_ratio, dtype=xd.dtype)
+    below = xd < a_val
+    in_window = (xd > 0) & below
+    if mode is PactBackward.CG:
+        per_elem = np.where(below, q_ratio - ratio, 1.0)
+    else:
+        per_elem = np.where(below, 0.0, 1.0)
+    ga = float(np.sum(g * per_elem, dtype=np.float64))
+    return out, g * in_window, np.asarray(ga, dtype=xd.dtype), ratio * levels + 0.5
+
+
+def backward_from(out, g):
+    """Backward pass that hands ``out`` exactly ``g``, memory layout included."""
+    inject = register_custom_backward(lambda a: a, lambda grad, a: g, name="inject")
+    inject(out).sum().backward()
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8)
+    )
+
+
+class TestPactBitIdentity:
+    """pact_quantize makes the plain expressions' float ops in their order,
+    so its output and both gradients equal them to the bit."""
+
+    @staticmethod
+    def inputs(bits, alpha, dtype):
+        levels = 2**bits - 1
+        rng = np.random.default_rng(bits)
+        # past numpy's 8192-element cast buffer, so that a float64 sum over
+        # float32 products and one over float64 products differ
+        x = rng.uniform(-0.5 * alpha, 1.5 * alpha, size=(4, 8, 24, 24))
+        flat = x.reshape(-1)
+        flat[:40] = alpha * (np.arange(40) % levels + 0.5) / levels   # ties
+        flat[40:50] = alpha                                          # the clip
+        flat[50:55] = 0.0
+        flat[55:60] = -0.0
+        flat[60:70] = -rng.uniform(0.0, alpha, 10)
+        x = x.astype(dtype)
+        g = (rng.normal(size=x.shape) * 10.0 ** rng.normal(size=x.shape)).astype(dtype)
+        # channels-last memory under NCHW shape, as conv outputs have
+        cl = lambda a: np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        return [(x, g), (cl(x), cl(g))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", [PactBackward.CG, PactBackward.LEGACY])
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    def test_matches_plain_expressions(self, bits, mode, dtype):
+        alpha = np.asarray(1.7, dtype=dtype)
+        for x, g in self.inputs(bits, float(alpha), dtype):
+            want_out, want_gx, want_ga, scaled = pact_reference(
+                x, float(alpha), bits, mode, g)
+            assert np.any(scaled == np.floor(scaled)), "no rounding tie"
+            state = PactState(Tensor(alpha.copy(), requires_grad=True), bits, mode)
+            t = Tensor(x, requires_grad=True)
+            out = pact_quantize(t, state)
+            backward_from(out, g)
+            assert same_bits(out.data, want_out)
+            assert same_bits(t.grad, want_gx)
+            assert same_bits(state.alpha.grad, want_ga)
+            with no_grad():
+                assert same_bits(pact_quantize(Tensor(x), state).data, want_out)
 
 
 class TestAlphaGradReduce:

@@ -211,6 +211,79 @@ class TestLayoutInvariance:
         self.both_layouts(run, images)
 
 
+def pool_reference(x, k, g):
+    """The NCHW-copy mean and its backward, as plain numpy expressions."""
+    n, c, h, w = x.shape
+    out = np.ascontiguousarray(x).reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    spread = (g * (1.0 / (k * k)))[:, :, :, None, :, None]
+    gx = np.broadcast_to(spread, (n, c, h // k, k, w // k, k)).reshape(x.shape)
+    return out, gx
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint32), np.ascontiguousarray(b).view(np.uint32)
+    )
+
+
+class TestAvgPoolBitIdentity:
+    """Pooling sums in a fixed order, equal to the bit to numpy's mean over
+    an NCHW copy, whatever the memory layout of its input."""
+
+    @staticmethod
+    def mixed(shape, seed, k=2):
+        # magnitudes spread over eight decades, so any change of summation
+        # order shows in the last bit; an all -0.0 window pins the +0 start
+        # and a window mixing +0.0 and -0.0 the zero-sign rules
+        x = rand(shape, seed) * 10.0 ** (4 * rand(shape, seed + 1))
+        x = x.astype(np.float32)
+        x[0, 0, :k, :k] = -0.0
+        x[-1, -1, -k:, -k:] = 0.0
+        x[-1, -1, -k:, -k::2] = -0.0
+        return x
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("k,h,w", [
+        (2, 8, 6), (3, 9, 12), (4, 8, 16), (2, 2, 8),   # smaller windows
+        (4, 4, 4), (7, 7, 7), (8, 8, 8),                # global
+        (3, 6, 3), (2, 4, 2),                           # full width: one run
+        (8, 16, 16),                                    # wide, not global
+    ])
+    def test_forward_and_backward(self, k, h, w, layout):
+        x = self.mixed((3, 5, h, w), seed=70 + k, k=k)
+        g = self.mixed((3, 5, h // k, w // k), seed=80 + k, k=1)
+        if layout == "channels_last":
+            x = channels_last(x)
+            if g.shape[2:] != (1, 1):
+                g = channels_last(g)
+        want_out, want_gx = pool_reference(x, k, g)
+        t = Tensor(x, requires_grad=True)
+        out = avg_pool2d(t, k)
+        (out * Tensor(g)).sum().backward()
+        assert same_bits(out.data, want_out)
+        assert same_bits(t.grad, want_gx)
+        if k < 8 and w > k:
+            assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_single_image_single_channel(self):
+        x = self.mixed((1, 1, 6, 8), seed=90)
+        g = self.mixed((1, 1, 3, 4), seed=91, k=1)
+        t = Tensor(x, requires_grad=True)
+        out = avg_pool2d(t, 2)
+        (out * Tensor(g)).sum().backward()
+        want_out, want_gx = pool_reference(x, 2, g)
+        assert same_bits(out.data, want_out)
+        assert same_bits(t.grad, want_gx)
+
+    def test_zero_signs_follow_numpy(self):
+        x = np.zeros((2, 3, 4, 4), dtype=np.float32)
+        x[0] = -0.0
+        x[1, :, :, ::2] = -0.0
+        out = avg_pool2d(Tensor(x), 2).data
+        want, _ = pool_reference(x, 2, np.zeros((2, 3, 2, 2), np.float32))
+        assert same_bits(out, want)
+
+
 class TestMeanSquare:
     def test_unit_magnitudes(self):
         assert mean_square(Tensor([1.0, -1.0, 1.0, -1.0])).item() == 1.0

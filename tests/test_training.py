@@ -169,6 +169,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(self.GOOD + "\nwarmup_epochs=9")
 
+    @pytest.mark.parametrize("line", [
+        "bits=0", "bits=17", "act_bits=0", "diag_every=0", "momentum=nan",
+        "weight_decay=-1", "first_last_bits=abc", "layer99.bits=4",
+        "train_size=-5", "val_size=0",
+    ])
+    def test_out_of_range_values_rejected(self, line):
+        key = line.split("=")[0]
+        text = "\n".join(l for l in self.GOOD.splitlines()
+                         if l.strip().split("=")[0] != key)
+        with pytest.raises(ConfigError, match=key.split(".")[0]):
+            parse_config(text + "\n" + line)
+
     def test_layer_overrides(self):
         cfg = parse_config(self.GOOD + "\nlayer2.bits=8\nlayer2.rescale=stddev")
         assert cfg.layer_overrides[2]["bits"] == "8"
