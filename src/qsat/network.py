@@ -51,7 +51,6 @@ __all__ = [
     "PRESETS",
     "build_preset",
     "linear_layer_count",
-    "forward_block",
     "validate_model",
     "MIN_EDGE_BITS",
 ]
@@ -63,6 +62,25 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
+def _wide_rows(a: np.ndarray) -> np.ndarray:
+    """(n*h, w*C) rows of an NCHW-shaped array: a view of channels-last
+    memory, a copy of any other layout."""
+    n, c, h, w = a.shape
+    return a.transpose(0, 2, 3, 1).reshape(n * h, w * c)
+
+
+def _nchw(rows: np.ndarray, shape) -> np.ndarray:
+    """NCHW-shaped, channels-last view of (n*h, w*C) rows."""
+    n, c, h, w = shape
+    return rows.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+
+
+def _channel_sums(rows: np.ndarray, c: int) -> np.ndarray:
+    """Float64 per-channel sums of wide rows: each (w, c) column down the
+    rows, then across w."""
+    return rows.sum(axis=0, dtype=np.float64).reshape(-1, c).sum(axis=0)
+
+
 class BatchNorm2d:
     """Per-channel batch normalization with exact batch backward.
 
@@ -70,6 +88,13 @@ class BatchNorm2d:
     batch and spatial axes) and updates the running estimates; eval mode
     applies the running statistics as a fixed affine map.  Batches of one
     sample are rejected in training mode.
+
+    Every per-channel op runs on the activation viewed as ``(n*h, w*C)``
+    rows, with each per-channel vector tiled w times, so numpy's inner
+    loops are w*C long rather than C.  The float32 ops are those of the
+    plain NCHW formulas, in the same order; the output is channels-last.
+    The float64 statistics sum each (w, c) column down the n*h rows and
+    then across w (``_channel_sums``).
     """
 
     def __init__(self, channels: int, momentum: float = BN_MOMENTUM,
@@ -88,18 +113,18 @@ class BatchNorm2d:
                 f"batch norm over {self.channels} channels got input {x.shape}"
             )
         if not training:
-            inv = 1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)
-            scale = self.gamma * Tensor(inv.astype(x.dtype))
-            shift = self.beta - scale * Tensor(self.running_mean)
-            return x * scale + shift
-
-        n, _, h, w = x.shape
+            return self._affine(x)
+        n, c, h, w = x.shape
         if n < 2:
             raise DomainError("batch norm needs batch size >= 2 in training mode")
         m = n * h * w
-        xd = x.data
-        mean = np.mean(xd, axis=(0, 2, 3), dtype=np.float64)
-        var = np.mean(np.square(xd, dtype=np.float64), axis=(0, 2, 3)) - mean**2
+        rows = _wide_rows(x.data)
+        gamma, beta = self.gamma, self.beta
+        x64 = rows.astype(np.float64)
+        mean = _channel_sums(x64, c) / m
+        np.square(x64, out=x64)
+        var = _channel_sums(x64, c) / m - mean**2
+        del x64
         var = np.maximum(var, 0.0)
         self.running_mean = (
             (1.0 - self.momentum) * self.running_mean + self.momentum * mean
@@ -108,28 +133,47 @@ class BatchNorm2d:
             (1.0 - self.momentum) * self.running_var + self.momentum * var
         ).astype(self.running_var.dtype)
 
-        sigma = np.sqrt(var + self.eps).astype(xd.dtype)
-        xhat = (xd - mean.astype(xd.dtype).reshape(1, -1, 1, 1)) / sigma.reshape(
-            1, -1, 1, 1
-        )
-        gshape = (1, self.channels, 1, 1)
-        out = Tensor(
-            self.gamma.data.reshape(gshape) * xhat + self.beta.data.reshape(gshape)
-        )
-        gamma, beta = self.gamma, self.beta
+        sigma = np.sqrt(var + self.eps).astype(rows.dtype)
+        xhat = rows - np.tile(mean.astype(rows.dtype), w)
+        xhat /= np.tile(sigma, w)
+        out = np.multiply(np.tile(gamma.data, w), xhat)
+        out += np.tile(beta.data, w)
 
         def backward(g):
-            dbeta = np.sum(g, axis=(0, 2, 3), dtype=np.float64)
-            dgamma = np.sum(g * xhat, axis=(0, 2, 3), dtype=np.float64)
-            coeff = (gamma.data / sigma).reshape(gshape)
-            dx = coeff * (
-                g
-                - (dbeta / m).astype(g.dtype).reshape(gshape)
-                - xhat * (dgamma / m).astype(g.dtype).reshape(gshape)
-            )
-            return (dx, dgamma, dbeta)
+            g = _wide_rows(g)
+            dbeta = _channel_sums(g, c)
+            gx = g * xhat
+            dgamma = _channel_sums(gx, c)
+            # coeff * ((g - dbeta/m) - xhat * dgamma/m), op by op
+            np.multiply(xhat, np.tile((dgamma / m).astype(g.dtype), w), out=gx)
+            dx = g - np.tile((dbeta / m).astype(g.dtype), w)
+            dx -= gx
+            dx *= np.tile(gamma.data / sigma, w)
+            return (_nchw(dx, x.shape), dgamma, dbeta)
 
+        out = Tensor(_nchw(out, x.shape))
         return _record("batch_norm2d", out, (x, gamma, beta), backward)
+
+    def _affine(self, x: Tensor) -> Tensor:
+        """Eval mode: ``x * scale + shift`` from the running statistics, as
+        one per-channel affine op."""
+        c, w = self.channels, x.shape[3]
+        gamma, beta, mean = self.gamma, self.beta, self.running_mean
+        rows = _wide_rows(x.data)
+        inv = (1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)).astype(x.dtype)
+        scale = gamma.data * inv
+        shift = beta.data - scale * mean
+        out = rows * np.tile(scale, w)
+        out += np.tile(shift, w)
+
+        def backward(g):
+            g = _wide_rows(g)
+            dbeta = _channel_sums(g, c)
+            dgamma = inv * (_channel_sums(g * rows, c) - mean * dbeta)
+            return (_nchw(g * np.tile(scale, w), x.shape), dgamma, dbeta)
+
+        out = Tensor(_nchw(out, x.shape))
+        return _record("batch_norm2d_eval", out, (x, gamma, beta), backward)
 
 
 class Conv2dLayer:
@@ -238,11 +282,6 @@ class Block:
         if self.pool is not None:
             h = self.pool(h)
         return h
-
-
-def forward_block(x: Tensor, block: Block, training: bool = False) -> Tensor:
-    """Apply one composed block to an input batch."""
-    return block.forward(x, training)
 
 
 @dataclass

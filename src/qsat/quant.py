@@ -39,7 +39,6 @@ __all__ = [
     "stddev_rescale",
     "effective_weight",
     "pact_quantize",
-    "alpha_grad_reduce",
     "ALPHA_INIT",
     "ALPHA_FLOOR",
 ]
@@ -246,7 +245,8 @@ def pact_quantize(x: Tensor, state: PactState) -> Tensor:
     * CG:     qk(xc/alpha) - xc/alpha below the clip, 1 at or above it
     * LEGACY: 0 below the clip, 1 at or above it
 
-    x == alpha belongs to the saturated branch.
+    x == alpha belongs to the saturated branch.  A NaN input is in neither
+    branch: its CG factor, and so the alpha gradient, is NaN.
     """
     a_val = state.alpha_value
     if a_val <= 0:
@@ -269,8 +269,10 @@ def pact_quantize(x: Tensor, state: PactState) -> Tensor:
     in_window = xd > 0
     in_window &= below
     if state.mode is PactBackward.CG:
+        # q - ratio is exactly 0 where x >= alpha (both are 1), so adding
+        # the saturated mask sets the factor there to 1
         per_elem = np.subtract(q, ratio, out=ratio)
-        np.copyto(per_elem, 1.0, where=~below)
+        per_elem += ~below
     else:
         per_elem = None
     q *= a_val
@@ -282,13 +284,7 @@ def pact_quantize(x: Tensor, state: PactState) -> Tensor:
             scaled = np.multiply(g, ~below, dtype=np.float64)
         else:
             scaled = g * per_elem
-        ga = np.asarray(alpha_grad_reduce(scaled), dtype=state.alpha.data.dtype)
+        ga = np.asarray(np.sum(scaled, dtype=np.float64), dtype=state.alpha.data.dtype)
         return (g * in_window, ga.reshape(state.alpha.shape))
 
     return _record("pact_quantize", out, (x, state.alpha), backward)
-
-
-def alpha_grad_reduce(per_element) -> float:
-    """Accumulate per-element clip-level gradients into the shared scalar."""
-    data = per_element.data if isinstance(per_element, Tensor) else per_element
-    return float(np.sum(data, dtype=np.float64))

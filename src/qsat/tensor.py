@@ -14,6 +14,12 @@ different sizes stay stable.
 and the gradients flowing back into them are channels-last in memory.
 Float32 sums follow memory order, so average pooling fixes its summation
 order explicitly instead of relying on the layout it is given.
+
+Convolution lowers to one GEMM over im2col patch rows.  The copies that
+build those rows, and the scatter-adds that fold their gradient back, run
+over ranges of whole images sized to stay in cache; they only move data,
+so the chunking changes no byte.  The GEMM always sees the whole buffer,
+since BLAS results can depend on the operand shape.
 """
 
 from __future__ import annotations
@@ -410,12 +416,26 @@ def mean_square_value(arr) -> float:
 # -- convolution / pooling ---------------------------------------------
 
 
+# The k*k slice copies and adds of the lowering run over ranges of whole
+# images whose patch rows fill about this many bytes, so that the rows a
+# slice writes are still in L2 when the next slice writes beside them.
+_LOWERING_CHUNK_BYTES = 512 * 1024
+
+
+def _images_per_chunk(image_bytes: int) -> int:
+    return max(1, _LOWERING_CHUNK_BYTES // max(1, image_bytes))
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     """Patch rows of an NCHW-shaped array of any memory layout.
 
     Rows run over (n, ho, wo) and columns over (c, ki, kj).  The input is
-    read once into a padded channels-last buffer; each of the k*k kernel
-    offsets is then one slice copy into the rows.
+    read into a padded channels-last buffer; each of the k*k kernel offsets
+    is then one slice copy into the rows.  Both steps run over ranges of
+    whole images whose patch rows fill about ``_LOWERING_CHUNK_BYTES``, so
+    each range is padded and gathered while it is still in cache.  Every
+    element gets the same copy as in one pass over the batch, and callers
+    run one GEMM on the whole buffer.
     """
     n, c, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
@@ -426,25 +446,38 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
         )
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
-    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    xv = x.transpose(0, 2, 3, 1)
     col = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            col[..., i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    step = _images_per_chunk(ho * wo * c * k * k * x.itemsize)
+    # one padded buffer for a whole chunk; its border stays zero
+    xp = np.zeros((min(n, step), hp, wp, c), dtype=x.dtype)
+    for s in range(0, n, step):
+        cs = col[s : s + step]
+        xs = xp[: len(cs)]
+        xs[:, pad : pad + h, pad : pad + w] = xv[s : s + step]
+        for i in range(k):
+            for j in range(k):
+                cs[..., i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
     return col.reshape(n * ho * wo, c * k * k), ho, wo, (hp, wp)
 
 
 def _col2im(dcol, x_shape, k, stride, pad, ho, wo, padded_shape):
     """Scatter-add patch-row gradients back to an NCHW-shaped view of a
-    channels-last array; the inverse of ``_im2col``'s gather."""
+    channels-last array; the inverse of ``_im2col``'s gather.
+
+    The k*k slice adds run image range by image range, as in ``_im2col``;
+    every element still receives its adds in the same (i, j) order.
+    """
     n, c, h, w = x_shape
     hp, wp = padded_shape
     dxp = np.zeros((n, hp, wp, c), dtype=dcol.dtype)
     d6 = dcol.reshape(n, ho, wo, c, k, k)
-    for i in range(k):
-        for j in range(k):
-            dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += d6[..., i, j]
+    step = _images_per_chunk(ho * wo * c * k * k * dcol.itemsize)
+    for s in range(0, n, step):
+        ds, gs = dxp[s : s + step], d6[s : s + step]
+        for i in range(k):
+            for j in range(k):
+                ds[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += gs[..., i, j]
     return dxp[:, pad : hp - pad, pad : wp - pad].transpose(0, 3, 1, 2)
 
 

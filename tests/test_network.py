@@ -10,7 +10,6 @@ from qsat.network import (
     Pool,
     PRESETS,
     build_preset,
-    forward_block,
     validate_model,
 )
 from qsat import tensor as tensor_module
@@ -23,6 +22,7 @@ from qsat.tensor import (
     mean_square,
     mean_square_value,
     no_grad,
+    register_custom_backward,
     relu,
 )
 
@@ -96,14 +96,14 @@ class TestForwardBlock:
         bn = BatchNorm2d(1)  # eval mode with fresh running stats: mu=0, var=1
         block = Block(conv, bn, act=True, pact=None, pool=None)
         x = Tensor(rand((2, 1, 4, 4), seed=5).astype(np.float32))
-        out = forward_block(x, block, training=False)
+        out = block.forward(x, training=False)
         npt.assert_allclose(out.data, np.maximum(x.data, 0.0), atol=1e-4)
 
     def test_avg_pool_preserves_constants(self):
         conv = Conv2dLayer("c", 1, 1, 1, scheme=None)
         conv.w.data = np.ones((1, 1, 1, 1), dtype=np.float32)
         block = Block(conv, None, act=False, pact=None, pool=Pool("avg", 2))
-        out = forward_block(Tensor(np.full((1, 1, 4, 4), 2.5)), block)
+        out = block.forward(Tensor(np.full((1, 1, 4, 4), 2.5)), training=False)
         npt.assert_allclose(out.data, np.full((1, 1, 2, 2), 2.5))
 
     def test_relu_halves_second_moment_after_bn(self):
@@ -115,14 +115,14 @@ class TestForwardBlock:
         bn.gamma.data = np.full(8, gamma, dtype=np.float32)
         block = Block(conv, bn, act=True, pact=None, pool=None)
         x = Tensor(rand((32, 8, 16, 16), seed=7).astype(np.float32))
-        out = forward_block(x, block, training=True)
+        out = block.forward(x, training=True)
         assert mean_square_value(out) == pytest.approx(gamma**2 / 2, rel=0.15)
 
     def test_geometry_mismatch(self):
         conv = Conv2dLayer("c", 3, 4, 3)
         block = Block(conv, None, act=True, pact=None, pool=None)
         with pytest.raises(ShapeError):
-            forward_block(Tensor(np.zeros((1, 5, 8, 8))), block)
+            block.forward(Tensor(np.zeros((1, 5, 8, 8))), training=False)
 
 
 def same_bits(a, b):
@@ -363,3 +363,128 @@ class TestStateRoundTrip:
         model = build_preset("convnet-bn", seed=16)
         with pytest.raises(KeyError):
             model.load_state({"bogus": np.zeros(3)})
+
+
+def channels_last(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def bn_reference(xd, gamma, beta, running_mean, running_var, g, momentum=0.1, eps=1e-5):
+    """Training-mode batch norm in its plain NCHW formulas: output, input,
+    gamma and beta gradients, and the updated running statistics."""
+    n, c, h, w = xd.shape
+    m = n * h * w
+    mean = np.mean(xd, axis=(0, 2, 3), dtype=np.float64)
+    var = np.mean(np.square(xd, dtype=np.float64), axis=(0, 2, 3)) - mean**2
+    var = np.maximum(var, 0.0)
+    rm = ((1.0 - momentum) * running_mean + momentum * mean).astype(running_mean.dtype)
+    rv = ((1.0 - momentum) * running_var + momentum * var).astype(running_var.dtype)
+    sigma = np.sqrt(var + eps).astype(xd.dtype)
+    gshape = (1, c, 1, 1)
+    xhat = (xd - mean.astype(xd.dtype).reshape(gshape)) / sigma.reshape(gshape)
+    out = gamma.reshape(gshape) * xhat + beta.reshape(gshape)
+    dbeta = np.sum(g, axis=(0, 2, 3), dtype=np.float64)
+    dgamma = np.sum(g * xhat, axis=(0, 2, 3), dtype=np.float64)
+    coeff = (gamma / sigma).reshape(gshape)
+    dx = coeff * (
+        g
+        - (dbeta / m).astype(g.dtype).reshape(gshape)
+        - xhat * (dgamma / m).astype(g.dtype).reshape(gshape)
+    )
+    return out, dx, dgamma.astype(gamma.dtype), dbeta.astype(beta.dtype), rm, rv
+
+
+def inject_grad(out, g):
+    """Backward pass that hands ``out`` exactly ``g``, memory layout included."""
+    inject = register_custom_backward(lambda a: a, lambda grad, a: g, name="inject")
+    inject(out).sum().backward()
+
+
+class TestBatchNormBitIdentity:
+    """BatchNorm2d on (n*h, w*C) rows makes the plain formulas' float32 ops
+    in their order; output, gradients and running statistics match them to
+    the bit at every convnet-bn BN shape, on either memory layout."""
+
+    SHAPES = [(32, 16, 32, 32), (32, 24, 16, 16), (32, 32, 16, 16),
+              (32, 32, 8, 8), (32, 24, 8, 8), (32, 12, 4, 4)]
+
+    @staticmethod
+    def bn_with_params(c, seed):
+        bn = BatchNorm2d(c)
+        rng = np.random.default_rng(seed)
+        bn.gamma.data = rng.normal(1.0, 0.3, c).astype(np.float32)
+        bn.beta.data = rng.normal(0.0, 0.5, c).astype(np.float32)
+        bn.running_mean = rng.normal(0.0, 1.0, c).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        return bn
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_training_matches_plain_formulas(self, shape, layout):
+        n, c, h, w = shape
+        seed = c * h
+        # a per-channel offset and magnitudes over several decades, so the
+        # float32 ops and their order show in the bits
+        x = (rand(shape, seed) * 10.0 ** rand((1, c, 1, 1), seed + 1)
+             + 3.0 * rand((1, c, 1, 1), seed + 2)).astype(np.float32)
+        g = (rand(shape, seed + 3) * 10.0 ** rand(shape, seed + 4)).astype(np.float32)
+        if layout == "channels_last":
+            x, g = channels_last(x), channels_last(g)
+        bn = self.bn_with_params(c, seed)
+        want = bn_reference(x, bn.gamma.data, bn.beta.data, bn.running_mean,
+                            bn.running_var, g)
+        t = Tensor(x, requires_grad=True)
+        out = bn(t, training=True)
+        inject_grad(out, g)
+        got = (out.data, t.grad, bn.gamma.grad, bn.beta.grad,
+               bn.running_mean, bn.running_var)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got, want):
+            assert same_bits(a, b), name
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_eval_forward_is_x_times_scale_plus_shift(self, shape, layout):
+        n, c, h, w = shape
+        x = (rand(shape, c) * 10.0 ** rand((1, c, 1, 1), c + 1)).astype(np.float32)
+        if layout == "channels_last":
+            x = channels_last(x)
+        bn = self.bn_with_params(c, c + 2)
+        inv = 1.0 / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+        scale = bn.gamma.data * inv.astype(np.float32)
+        shift = bn.beta.data - scale * bn.running_mean
+        want = x * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+        with no_grad():
+            assert same_bits(bn(Tensor(x), training=False).data, want)
+        # with gradients on, the same bytes come from one op on the tape
+        tensor_module._tape.clear()
+        t = Tensor(x, requires_grad=True)
+        out = bn(t, training=False)
+        assert [node.op for node in tensor_module._tape] == ["batch_norm2d_eval"]
+        tensor_module._tape.clear()
+        assert same_bits(out.data, want)
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    def test_eval_backward_vs_finite_differences(self, layout):
+        shape = (3, 4, 5, 6)
+        up = Tensor(rand(shape, seed=41))
+        bn = BatchNorm2d(4, dtype=np.float64)
+        bn.gamma.data = np.array([1.5, 0.5, -2.0, 1.0])
+        bn.beta.data = np.array([0.1, -0.2, 0.0, 0.3])
+        bn.running_mean = np.array([0.5, -1.0, 0.0, 2.0])
+        bn.running_var = np.array([0.8, 1.5, 2.0, 0.3])
+        x = rand(shape, seed=42, scale=2.0)
+        if layout == "channels_last":
+            x = channels_last(x)
+
+        def through_x(t):
+            return (bn(t, training=False) * up).sum()
+
+        def through(param):
+            def fn(t):
+                setattr(bn, param, t)
+                return (bn(Tensor(x), training=False) * up).sum()
+            return fn
+
+        assert finite_difference_check(through_x, Tensor(x)) <= 1e-6
+        assert finite_difference_check(through("gamma"), Tensor(bn.gamma.data.copy())) <= 1e-6
+        assert finite_difference_check(through("beta"), Tensor(bn.beta.data.copy())) <= 1e-6

@@ -10,7 +10,6 @@ from qsat.quant import (
     PactState,
     QuantScheme,
     RescaleMode,
-    alpha_grad_reduce,
     constant_rescale,
     dorefa_clamp,
     effective_weight,
@@ -424,14 +423,53 @@ class TestPactBitIdentity:
                 assert same_bits(pact_quantize(Tensor(x), state).data, want_out)
 
 
+class TestPactSaturatedFactor:
+    """The CG alpha factor adds the saturated mask to ``q - ratio``, which
+    is exactly 0 at or above the clip, where the plain expressions set 1."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [2, 4, 16])
+    def test_at_and_above_the_clip_and_at_inf(self, bits, dtype):
+        alpha = np.asarray(1.7, dtype=dtype)
+        x = np.array([alpha, alpha, 1.0001 * alpha, 5.0, 1e30, np.inf, 0.3, -1.0],
+                     dtype=dtype).reshape(1, 2, 2, 2)
+        g = np.random.default_rng(bits).normal(size=x.shape).astype(dtype)
+        want_out, want_gx, want_ga, _ = pact_reference(
+            x, float(alpha), bits, PactBackward.CG, g)
+        state = PactState(Tensor(alpha.copy(), requires_grad=True), bits, PactBackward.CG)
+        t = Tensor(x, requires_grad=True)
+        out = pact_quantize(t, state)
+        backward_from(out, g)
+        assert same_bits(out.data, want_out)
+        assert same_bits(t.grad, want_gx)
+        assert same_bits(state.alpha.grad, want_ga)
+
+    def test_nan_input_gives_nan_alpha_gradient(self):
+        # NaN is neither below the clip nor saturated: q - ratio is NaN, so
+        # the factor stays NaN (the plain expressions set it to 1)
+        x = np.array([0.5, np.nan, 3.0, -1.0], dtype=np.float32)
+        state = PactState(Tensor(np.float32(2.0), requires_grad=True), 4, PactBackward.CG)
+        t = Tensor(x, requires_grad=True)
+        out = pact_quantize(t, state)
+        out.sum().backward()
+        assert np.isnan(state.alpha.grad)
+        assert np.isnan(out.data[1])
+        npt.assert_array_equal(t.grad, [1.0, 0.0, 0.0, 0.0])
+
+
 class TestAlphaGradReduce:
+    """The per-element clip-level gradients summed into the scalar alpha
+    gradient, through ``pact_quantize``'s backward."""
+
     def test_zeros(self):
-        assert alpha_grad_reduce(np.zeros(10)) == 0.0
+        ga, _ = alpha_grad(np.zeros(10), pact(2, PactBackward.CG))
+        assert ga == 0.0
 
     def test_single_element(self):
-        g = np.zeros(10)
-        g[3] = 1.0
-        assert alpha_grad_reduce(g) == 1.0
+        x = np.zeros(10)
+        x[3] = 3.0  # the one element at or above the clip
+        ga, _ = alpha_grad(x, pact(2, PactBackward.CG))
+        assert ga == 1.0
 
     def test_matches_finite_difference_in_saturated_region(self):
         # every element above the clip: d(sum q)/d(alpha) = element count

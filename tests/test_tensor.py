@@ -284,6 +284,104 @@ class TestAvgPoolBitIdentity:
         assert same_bits(out, want)
 
 
+def im2col_reference(x, k, stride, pad):
+    """The lowering in one pass over the batch: one padded copy, then one
+    slice copy per kernel offset."""
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    col = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            col[..., i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return col.reshape(n * ho * wo, c * k * k), ho, wo, (hp, wp)
+
+
+def col2im_reference(dcol, x_shape, k, stride, pad, ho, wo, padded_shape):
+    """The scatter-add in one pass over the batch, offsets in (i, j) order."""
+    n, c, h, w = x_shape
+    hp, wp = padded_shape
+    dxp = np.zeros((n, hp, wp, c), dtype=dcol.dtype)
+    d6 = dcol.reshape(n, ho, wo, c, k, k)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += d6[..., i, j]
+    return dxp[:, pad : hp - pad, pad : wp - pad].transpose(0, 3, 1, 2)
+
+
+class TestLoweringBitIdentity:
+    """The lowering copies and scatter-adds run image range by image range;
+    their bytes equal one pass over the whole batch, and conv2d still runs
+    one GEMM over all patch rows."""
+
+    @staticmethod
+    def check(x, k, stride, pad):
+        col, ho, wo, padded = T._im2col(x, k, stride, pad)
+        want_col, want_ho, want_wo, want_padded = im2col_reference(x, k, stride, pad)
+        assert (ho, wo, padded) == (want_ho, want_wo, want_padded)
+        assert same_bits(col, want_col)
+        # magnitudes over eight decades: any change in the order of the
+        # overlapping adds shows in the last bit
+        dcol = (rand(col.shape, seed=71) * 10.0 ** (4 * rand(col.shape, seed=72))).astype(x.dtype)
+        dx = T._col2im(dcol, x.shape, k, stride, pad, ho, wo, padded)
+        assert same_bits(dx, col2im_reference(dcol, x.shape, k, stride, pad, ho, wo, padded))
+
+    @staticmethod
+    def layout(x, name):
+        return channels_last(x) if name == "channels_last" else x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout_name", ["nchw", "channels_last"])
+    def test_several_chunks_and_a_partial_one(self, layout_name, dtype):
+        x = rand((37, 3, 32, 32), seed=70, scale=3.0).astype(dtype)
+        image_bytes = 32 * 32 * 3 * 9 * x.itemsize
+        step = T._images_per_chunk(image_bytes)
+        assert 1 < step < 37 and 37 % step
+        self.check(self.layout(x, layout_name), 3, 1, 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout_name", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("k,stride,pad", [
+        (1, 1, 0), (1, 2, 0), (1, 1, 1), (3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0),
+    ])
+    @pytest.mark.parametrize("n", [1, 3, 37])
+    def test_kernels_strides_and_pads(self, n, k, stride, pad, layout_name, dtype,
+                                      monkeypatch):
+        size = 9 if stride == 2 else 8
+        x = rand((n, 5, size, size), seed=73, scale=3.0).astype(dtype)
+        ho = (size + 2 * pad - k) // stride + 1
+        image_bytes = ho * ho * 5 * k * k * x.itemsize
+        # five images per chunk: 37 is seven chunks and a partial one
+        monkeypatch.setattr(T, "_LOWERING_CHUNK_BYTES", 5 * image_bytes + image_bytes // 2)
+        assert T._images_per_chunk(image_bytes) == 5
+        self.check(self.layout(x, layout_name), k, stride, pad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ci,size,co", [(3, 32, 16), (16, 4, 12), (24, 8, 32)])
+    def test_conv2d_runs_one_gemm_over_all_rows(self, ci, size, co, dtype, monkeypatch):
+        # OpenBLAS gives other bits for a GEMM over fewer rows at some of
+        # these shapes, so a GEMM per chunk would show here
+        n = 37
+        image_bytes = size * size * ci * 9 * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "_LOWERING_CHUNK_BYTES", 5 * image_bytes)
+        shape = (n, ci, size, size)
+        x = (rand(shape, seed=74) * 10.0 ** rand(shape, seed=77)).astype(dtype)
+        wv = rand((co, ci, 3, 3), seed=75).astype(dtype)
+        up = rand((n, co, size, size), seed=76).astype(dtype)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(wv, requires_grad=True)
+        out = conv2d(xt, wt, stride=1, pad=1)
+        (out * Tensor(up)).sum().backward()
+        col, ho, wo, padded = im2col_reference(x, 3, 1, 1)
+        wmat = wv.reshape(co, ci * 9)
+        gcol = up.transpose(0, 2, 3, 1).reshape(-1, co)
+        want = (col @ wmat.T).reshape(n, size, size, co).transpose(0, 3, 1, 2)
+        assert same_bits(out.data, want)
+        assert same_bits(wt.grad, (gcol.T @ col).reshape(wv.shape))
+        assert same_bits(xt.grad, col2im_reference(gcol @ wmat, x.shape, 3, 1, 1, ho, wo, padded))
+
+
 class TestMeanSquare:
     def test_unit_magnitudes(self):
         assert mean_square(Tensor([1.0, -1.0, 1.0, -1.0])).item() == 1.0
