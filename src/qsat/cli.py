@@ -209,7 +209,7 @@ def cmd_diagnose(args) -> int:
     if not args.init:
         raise training.ConfigError("diagnose requires --init with a checkpoint")
     cfg, model = _build_with_checkpoint(args)
-    records = diagnostics.collect_static_records(model)
+    records = diagnostics.collect_records(model, 0, None)
     report = diagnostics.etr_check(model, records)
     print(report.table(), file=sys.stderr)
     kappa0 = next((r.kappa0 for r in records if r.kappa0 is not None), None)

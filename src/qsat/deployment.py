@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import _im2col, no_grad
-from .quant import RescaleMode, dorefa_clamp, rescale_factor
-from .network import ConvNet
+from .quant import PactState, RescaleMode, dorefa_clamp, rescale_scalar
+from .network import BatchNorm2d, ConvNet, Pool
 
 __all__ = [
     "CheckpointError",
@@ -90,6 +91,8 @@ def _write_container(path, manifest: dict, arrays: list[np.ndarray]) -> None:
 def save_checkpoint(model, path, config_hash: str = "") -> None:
     """Serialize model tensors; manifest order defines payload order."""
     entries = model.state_arrays()
+    schemes = {f"{info.name}.weight": _scheme_json(info.layer.scheme)
+               for info in model.linear_infos()}
     manifest = {
         "kind": "model",
         "config_hash": config_hash,
@@ -99,7 +102,7 @@ def save_checkpoint(model, path, config_hash: str = "") -> None:
                 "name": name,
                 "role": role,
                 "shape": list(arr.shape),
-                "scheme": _scheme_json(model, name),
+                "scheme": schemes.get(name),
             }
             for name, role, arr in entries
         ],
@@ -107,18 +110,14 @@ def save_checkpoint(model, path, config_hash: str = "") -> None:
     _write_container(path, manifest, [arr for _, _, arr in entries])
 
 
-def _scheme_json(model, tensor_name: str):
-    for info in model.linear_infos():
-        if f"{info.name}.weight" == tensor_name:
-            scheme = info.layer.scheme
-            if scheme is None:
-                return {"bits": "raw"}
-            return {
-                "bits": "fp" if scheme.bits is None else scheme.bits,
-                "rescale": scheme.rescale.value,
-                "fan_out": scheme.fan_out,
-            }
-    return None
+def _scheme_json(scheme) -> dict:
+    if scheme is None:
+        return {"bits": "raw"}
+    return {
+        "bits": "fp" if scheme.bits is None else scheme.bits,
+        "rescale": scheme.rescale.value,
+        "fan_out": scheme.fan_out,
+    }
 
 
 def _check_manifest(path, manifest) -> None:
@@ -163,21 +162,20 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: corrupt manifest: {exc}") from exc
     _check_manifest(path, manifest)
     payload = blob[16 + mlen :]
-    expected = sum(
-        4 * int(np.prod(t["shape"], dtype=np.int64).item() if t["shape"] else 1)
-        for t in manifest["tensors"]
-    )
+    counts = [math.prod(t["shape"]) for t in manifest["tensors"]]
+    expected = 4 * sum(counts)
     if len(payload) != expected:
         raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, manifest requires {expected}"
         )
     tensors = {}
     offset = 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64).item()) if shape else 1
+    for entry, count in zip(manifest["tensors"], counts):
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        tensors[entry["name"]] = arr.reshape(shape).copy()
+        try:
+            tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        except ValueError as exc:  # an empty shape past numpy's dimension limits
+            raise CheckpointError(f"{path}: tensor '{entry['name']}': {exc}") from exc
         offset += 4 * count
     return Checkpoint(manifest, tensors)
 
@@ -362,11 +360,11 @@ def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:
     qvals = _qk_array(np.clip(wt, 0.0, 1.0), levels)
     idx = np.rint(qvals.astype(np.float64) * levels)
     q_signed = (qvals * 2.0 - 1.0).astype(layer.w.data.dtype)
-    factor = (
-        rescale_factor(q_signed, scheme, layer.w)
-        if scheme.rescale is not RescaleMode.NONE
-        else 1.0
-    )
+    factor = 1.0
+    if scheme.rescale is RescaleMode.CONSTANT:
+        factor = 1.0 / rescale_scalar(q_signed, scheme, layer.w)
+    elif scheme.rescale is RescaleMode.STDDEV:
+        factor = rescale_scalar(q_signed, scheme, layer.w)
     return idx, levels, factor
 
 
@@ -394,17 +392,18 @@ def fold_bn(model) -> FoldedModel:
     layers = []
     in_scale = 1.0
     in_levels = 255  # uint8 image grid
-    for block in model.blocks:
-        conv = block.conv
-        if block.pact is None:
+    *conv_records, fc_record = model.layer_table
+    for record in conv_records:
+        conv, bn, pact, pool = (record.layer, record.find(BatchNorm2d),
+                                record.find(PactState), record.find(Pool))
+        if pact is None:
             raise FoldError(
                 f"layer '{conv.name}' has no clipped quantized activation to "
                 "absorb the normalization into"
             )
         idx, w_levels, factor = _weight_grid_indices(conv)
         co = conv.out_channels
-        if block.bn is not None:
-            bn = block.bn
+        if bn is not None:
             sigma = np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
             gamma_abs = bn.gamma.data.astype(np.float64) / sigma
             beta_abs = bn.beta.data.astype(np.float64) - gamma_abs * bn.running_mean.astype(np.float64)
@@ -421,20 +420,20 @@ def fold_bn(model) -> FoldedModel:
         channel_sign = np.where(gamma_eff < 0, -1.0, 1.0)
         gamma_eff = np.abs(gamma_eff)
 
-        alpha_out = block.pact.alpha_value
-        a_out = 2**block.pact.bits - 1
+        alpha_out = pact.alpha_value
+        a_out = 2**pact.bits - 1
         offset = beta_abs / (gamma_eff * in_scale)
         clip = alpha_out / (gamma_eff * in_scale)
         requant = (a_out / alpha_out) * gamma_eff * in_scale / w_levels
 
         pool_k = 1
-        if block.pool is not None:
-            if block.pool.kind != "avg":
+        if pool is not None:
+            if pool.kind != "avg":
                 raise FoldError(
                     f"layer '{conv.name}': only average pooling folds into the "
                     "integer grid"
                 )
-            pool_k = block.pool.k
+            pool_k = pool.k
         layer = FoldedLayer(
             name=conv.name,
             weight_idx=idx,
@@ -456,8 +455,7 @@ def fold_bn(model) -> FoldedModel:
         in_scale = (alpha_out / a_out) / (pool_k * pool_k)
         in_levels = a_out * pool_k * pool_k
 
-    fc = model.fc
-    fc_idx, fc_levels, fc_factor = _weight_grid_indices(fc)
+    fc_idx, fc_levels, fc_factor = _weight_grid_indices(fc_record.layer)
     fc_q = (fc_idx / fc_levels).astype(np.float32)
     fc_weight = (fc_q * np.float32(2.0) - np.float32(1.0)).astype(np.float64)
     return FoldedModel(
@@ -526,7 +524,7 @@ def load_folded(path) -> FoldedModel:
             logit_scale=float(meta["logit_scale"]),
             preset=ckpt.manifest.get("preset", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed folded model: missing or bad {exc}") from exc
     for prev, layer in zip([None, *layers], layers):
         idx, levels = layer.weight_idx, layer.weight_levels

@@ -28,7 +28,6 @@ __all__ = [
     "kappa1",
     "kappa2",
     "collect_records",
-    "collect_static_records",
     "EtrReport",
     "etr_check",
     "clamp_variance_study",
@@ -112,39 +111,33 @@ class DiagnosticsRecord:
     lr: float | None
 
 
-def _layer_stats(infos, with_grad: bool) -> list[LayerStats]:
-    stats = []
-    for info in infos:
-        eff = info.layer.last_effective
-        if eff is None:
-            with no_grad():
-                eff = info.layer.effective()
-        var_w = mean_square_value(eff.data)
-        var_g = None
-        if with_grad and eff.grad is not None:
-            var_g = mean_square_value(eff.grad)
-        stats.append(
-            LayerStats(
-                n_in=info.layer.n_in,
-                n_hat=info.layer.n_hat,
-                k_pool=info.kappa_k,
-                var_weight=var_w,
-                var_grad=var_g,
-            )
-        )
-    return stats
+def _layer_stats(info) -> LayerStats:
+    eff = info.layer.last_effective
+    if eff is None:
+        with no_grad():
+            eff = info.layer.effective()
+    return LayerStats(
+        n_in=info.layer.n_in,
+        n_hat=info.layer.n_hat,
+        k_pool=info.kappa_k,
+        var_weight=mean_square_value(eff.data),
+        var_grad=None if eff.grad is None else mean_square_value(eff.grad),
+    )
 
 
 def collect_records(model, step: int, lr: float | None) -> list[DiagnosticsRecord]:
     """Sample one row per linear layer from the most recent backward pass.
 
-    Must run after ``loss.backward()`` and before the optimizer step so the
-    gradients are the raw loss gradients, untouched by weight decay or
-    momentum.  kappa1/kappa2 are attached to the lower layer of each
-    adjacent pair; pairs that straddle a residual add are left blank.
+    During training this must run after ``loss.backward()`` and before the
+    optimizer step so the gradients are the raw loss gradients, untouched by
+    weight decay or momentum.  kappa1/kappa2 are attached to the lower layer
+    of each adjacent pair; pairs that straddle a residual add are left
+    blank.  On a model with no forward pass yet, e.g. one just loaded from a
+    checkpoint, the rows hold the weight statistics alone: ``var_grad``,
+    kappa1 and kappa2 stay blank.
     """
     infos = model.linear_infos()
-    stats = _layer_stats(infos, with_grad=True)
+    stats = [_layer_stats(info) for info in infos]
     records = []
     last = len(infos) - 1
     for i, (info, st) in enumerate(zip(infos, stats)):
@@ -170,27 +163,6 @@ def collect_records(model, step: int, lr: float | None) -> list[DiagnosticsRecor
                 kappa2=k2,
                 alpha=info.pact.alpha_value if info.pact else None,
                 lr=lr,
-            )
-        )
-    return records
-
-
-def collect_static_records(model) -> list[DiagnosticsRecord]:
-    """Weight-only snapshot (no gradients), e.g. from a loaded checkpoint."""
-    infos = model.linear_infos()
-    stats = _layer_stats(infos, with_grad=False)
-    records = []
-    last = len(infos) - 1
-    for i, (info, st) in enumerate(zip(infos, stats)):
-        k0 = None
-        if i == last:
-            k0 = kappa0(st.var_weight, st.n_in, infos[i].preceding_pool_k)
-        records.append(
-            DiagnosticsRecord(
-                step=0, layer=info.index, n_in=st.n_in, n_hat=st.n_hat,
-                k_pool=info.k_pool, var_weight=st.var_weight, var_grad=None,
-                kappa0=k0, kappa1=None, kappa2=None,
-                alpha=info.pact.alpha_value if info.pact else None, lr=None,
             )
         )
     return records

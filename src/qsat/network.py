@@ -46,6 +46,7 @@ __all__ = [
     "DenseLayer",
     "Block",
     "LinearInfo",
+    "LayerRecord",
     "ConvNet",
     "PreResNetToy",
     "PRESETS",
@@ -298,22 +299,103 @@ class LinearInfo:
     preceding_pool_k: float = 1.0  # pool kernel directly before this layer
 
 
+@dataclass
+class LayerRecord:
+    """One linear layer and the BN, PACT and pool wired to it, in forward
+    order, each under the prefix of its checkpoint names (a pool has no
+    tensors and an empty prefix).
+
+    A pool after the layer is its own block's pool; a pool before it feeds
+    it.  ``None`` modules are dropped, so a preset can list optional ones.
+    """
+
+    modules: list[tuple[str, object]]
+    skip_boundary: bool  # the layer's output feeds a residual add
+
+    def __post_init__(self):
+        self.modules = [(prefix, m) for prefix, m in self.modules if m is not None]
+
+    @property
+    def layer(self) -> Conv2dLayer | DenseLayer:
+        return self.find((Conv2dLayer, DenseLayer))
+
+    def find(self, kind):
+        """The record's module of class ``kind``, or None."""
+        return next((m for _, m in self.modules if isinstance(m, kind)), None)
+
+
+def _module_state(prefix: str, module) -> list[tuple[str, str, object]]:
+    """(name, role, owner) triples of one module's checkpoint tensors."""
+    if isinstance(module, BatchNorm2d):
+        return [(f"{prefix}.gamma", "bn_gamma", module.gamma),
+                (f"{prefix}.beta", "bn_beta", module.beta),
+                (f"{prefix}.running_mean", "bn_mean", module.running_mean),
+                (f"{prefix}.running_var", "bn_var", module.running_var)]
+    if isinstance(module, PactState):
+        return [(f"{prefix}.alpha", "alpha", module.alpha)]
+    return [(f"{prefix}.weight", "weight", module.w)]
+
+
 class _ModelBase:
-    preset: str = ""
+    """A model's forward structure plus ``layer_table``, the ordered
+    ``LayerRecord`` list its parameter, diagnostics and checkpoint lists
+    are derived from."""
+
     residual: bool = False
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        raise NotImplementedError
+    def __init__(self, layer_table: list[LayerRecord], preset: str):
+        self.layer_table = layer_table
+        self.preset = preset
+
+    def _named_modules(self) -> list[tuple[str, object]]:
+        return [(prefix, m) for record in self.layer_table
+                for prefix, m in record.modules if prefix]
 
     def parameters(self) -> list[Tensor]:
-        raise NotImplementedError
+        """Trainable tensors in forward order."""
+        return [owner for prefix, m in self._named_modules()
+                for _, _, owner in _module_state(prefix, m) if isinstance(owner, Tensor)]
 
     def linear_infos(self) -> list[LinearInfo]:
-        raise NotImplementedError
+        """One row per record.  A pool before the layer sets its
+        ``preceding_pool_k``; a pool after it sets its ``k_pool`` and
+        ``kappa_k`` and the next layer's ``preceding_pool_k``."""
+        infos = []
+        preceding = 1.0
+        for index, record in enumerate(self.layer_table):
+            info = None
+            for _, module in record.modules:
+                if isinstance(module, Pool) and info is None:
+                    preceding = module.kappa_k
+                elif isinstance(module, Pool):
+                    info.k_pool, info.kappa_k = float(module.k), module.kappa_k
+                elif module is record.layer:
+                    info = LinearInfo(index, module.name, module, k_pool=1.0, kappa_k=1.0,
+                                      pact=record.find(PactState),
+                                      skip_boundary=record.skip_boundary,
+                                      preceding_pool_k=preceding)
+            infos.append(info)
+            preceding = info.kappa_k
+        return infos
 
     def named_state(self) -> list[tuple[str, str, object]]:
-        """(name, role, owner) triples; owner is a Tensor or a BN module."""
-        raise NotImplementedError
+        """(name, role, owner) triples in checkpoint order; owner is a
+        Tensor or a BN running-statistics array.
+
+        Tensors go block by block, a block being the first part of a name.
+        Within a block, the modules of one class go together, classes in
+        the order they first appear: a pre-activation block stores both
+        BNs, then both clip levels, then both convs.
+        """
+        blocks: dict[str, list] = {}
+        for prefix, module in self._named_modules():
+            blocks.setdefault(prefix.split(".")[0], []).append((prefix, module))
+        entries = []
+        for members in blocks.values():
+            classes = list(dict.fromkeys(type(m) for _, m in members))
+            for prefix, module in sorted(members, key=lambda pm: classes.index(type(pm[1]))):
+                entries += _module_state(prefix, module)
+        return entries
 
     # -- checkpoint plumbing shared by all models -----------------------
 
@@ -360,20 +442,17 @@ class _ModelBase:
                 owner[...] = arr.astype(owner.dtype)
 
     def pact_states(self) -> list[PactState]:
-        return [info.pact for info in self.linear_infos() if info.pact is not None]
+        return [m for _, m in self._named_modules() if isinstance(m, PactState)]
 
 
 class ConvNet(_ModelBase):
     """Sequential conv blocks plus a final fully-connected head."""
 
-    def __init__(self, blocks: list[Block], fc: DenseLayer, preset: str,
-                 image_size: int, in_channels: int, classes: int):
+    def __init__(self, blocks: list[Block], fc: DenseLayer,
+                 layer_table: list[LayerRecord], preset: str):
+        super().__init__(layer_table, preset)
         self.blocks = blocks
         self.fc = fc
-        self.preset = preset
-        self.image_size = image_size
-        self.in_channels = in_channels
-        self.classes = classes
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         h = x
@@ -382,65 +461,6 @@ class ConvNet(_ModelBase):
         n = h.shape[0]
         h = h.reshape((n, int(np.prod(h.shape[1:]))))
         return self.fc(h)
-
-    def parameters(self) -> list[Tensor]:
-        params = []
-        for b in self.blocks:
-            params.append(b.conv.w)
-            if b.bn is not None:
-                params.extend([b.bn.gamma, b.bn.beta])
-            if b.pact is not None:
-                params.append(b.pact.alpha)
-        params.append(self.fc.w)
-        return params
-
-    def linear_infos(self) -> list[LinearInfo]:
-        infos = []
-        prev_pool = 1.0
-        for i, b in enumerate(self.blocks):
-            k = float(b.pool.k) if b.pool else 1.0
-            kk = b.pool.kappa_k if b.pool else 1.0
-            infos.append(
-                LinearInfo(
-                    index=i,
-                    name=b.conv.name,
-                    layer=b.conv,
-                    k_pool=k,
-                    kappa_k=kk,
-                    pact=b.pact,
-                    skip_boundary=False,
-                    preceding_pool_k=prev_pool,
-                )
-            )
-            prev_pool = kk
-        infos.append(
-            LinearInfo(
-                index=len(self.blocks),
-                name=self.fc.name,
-                layer=self.fc,
-                k_pool=1.0,
-                kappa_k=1.0,
-                pact=None,
-                skip_boundary=False,
-                preceding_pool_k=prev_pool,
-            )
-        )
-        return infos
-
-    def named_state(self):
-        entries = []
-        for b in self.blocks:
-            base = b.conv.name
-            entries.append((f"{base}.weight", "weight", b.conv.w))
-            if b.bn is not None:
-                entries.append((f"{base}.bn.gamma", "bn_gamma", b.bn.gamma))
-                entries.append((f"{base}.bn.beta", "bn_beta", b.bn.beta))
-                entries.append((f"{base}.bn.running_mean", "bn_mean", b.bn.running_mean))
-                entries.append((f"{base}.bn.running_var", "bn_var", b.bn.running_var))
-            if b.pact is not None:
-                entries.append((f"{base}.pact.alpha", "alpha", b.pact.alpha))
-        entries.append((f"{self.fc.name}.weight", "weight", self.fc.w))
-        return entries
 
 
 class _PreActResBlock:
@@ -471,8 +491,8 @@ class PreResNetToy(_ModelBase):
     def __init__(self, conv_in: Conv2dLayer, pool_in: Pool,
                  res_blocks: list[_PreActResBlock], mid_pools: list[Pool | None],
                  bn_out: BatchNorm2d, pact_out: PactState | None, pool_out: Pool,
-                 fc: DenseLayer, preset: str, image_size: int,
-                 in_channels: int, classes: int):
+                 fc: DenseLayer, layer_table: list[LayerRecord], preset: str):
+        super().__init__(layer_table, preset)
         self.conv_in = conv_in
         self.pool_in = pool_in
         self.res_blocks = res_blocks
@@ -481,10 +501,6 @@ class PreResNetToy(_ModelBase):
         self.pact_out = pact_out
         self.pool_out = pool_out
         self.fc = fc
-        self.preset = preset
-        self.image_size = image_size
-        self.in_channels = in_channels
-        self.classes = classes
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         h = self.pool_in(self.conv_in(x))
@@ -496,76 +512,6 @@ class PreResNetToy(_ModelBase):
         n = h.shape[0]
         h = h.reshape((n, int(np.prod(h.shape[1:]))))
         return self.fc(h)
-
-    def parameters(self) -> list[Tensor]:
-        params = [self.conv_in.w]
-        for b in self.res_blocks:
-            params.extend([b.bn1.gamma, b.bn1.beta, b.conv1.w,
-                           b.bn2.gamma, b.bn2.beta, b.conv2.w])
-            for p in (b.pact1, b.pact2):
-                if p is not None:
-                    params.append(p.alpha)
-        params.extend([self.bn_out.gamma, self.bn_out.beta])
-        if self.pact_out is not None:
-            params.append(self.pact_out.alpha)
-        params.append(self.fc.w)
-        return params
-
-    def linear_infos(self) -> list[LinearInfo]:
-        infos = []
-        idx = 0
-        infos.append(
-            LinearInfo(idx, self.conv_in.name, self.conv_in,
-                       k_pool=float(self.pool_in.k), kappa_k=self.pool_in.kappa_k,
-                       pact=None, skip_boundary=True)
-        )
-        prev = self.pool_in.kappa_k
-        for b, pool in zip(self.res_blocks, self.mid_pools):
-            idx += 1
-            infos.append(
-                LinearInfo(idx, b.conv1.name, b.conv1, k_pool=1.0, kappa_k=1.0,
-                           pact=b.pact1, skip_boundary=False,
-                           preceding_pool_k=prev)
-            )
-            prev = 1.0
-            idx += 1
-            k = float(pool.k) if pool else 1.0
-            kk = pool.kappa_k if pool else 1.0
-            infos.append(
-                LinearInfo(idx, b.conv2.name, b.conv2, k_pool=k, kappa_k=kk,
-                           pact=b.pact2, skip_boundary=True,
-                           preceding_pool_k=prev)
-            )
-            prev = kk
-        idx += 1
-        infos.append(
-            LinearInfo(idx, self.fc.name, self.fc, k_pool=1.0, kappa_k=1.0,
-                       pact=self.pact_out, skip_boundary=False,
-                       preceding_pool_k=self.pool_out.kappa_k)
-        )
-        return infos
-
-    def named_state(self):
-        entries = [(f"{self.conv_in.name}.weight", "weight", self.conv_in.w)]
-        for b in self.res_blocks:
-            for tag, bn in (("bn1", b.bn1), ("bn2", b.bn2)):
-                entries.append((f"{b.name}.{tag}.gamma", "bn_gamma", bn.gamma))
-                entries.append((f"{b.name}.{tag}.beta", "bn_beta", bn.beta))
-                entries.append((f"{b.name}.{tag}.running_mean", "bn_mean", bn.running_mean))
-                entries.append((f"{b.name}.{tag}.running_var", "bn_var", bn.running_var))
-            for tag, pact in (("pact1", b.pact1), ("pact2", b.pact2)):
-                if pact is not None:
-                    entries.append((f"{b.name}.{tag}.alpha", "alpha", pact.alpha))
-            entries.append((f"{b.conv1.name}.weight", "weight", b.conv1.w))
-            entries.append((f"{b.conv2.name}.weight", "weight", b.conv2.w))
-        entries.append(("tail.bn.gamma", "bn_gamma", self.bn_out.gamma))
-        entries.append(("tail.bn.beta", "bn_beta", self.bn_out.beta))
-        entries.append(("tail.bn.running_mean", "bn_mean", self.bn_out.running_mean))
-        entries.append(("tail.bn.running_var", "bn_var", self.bn_out.running_var))
-        if self.pact_out is not None:
-            entries.append(("tail.pact.alpha", "alpha", self.pact_out.alpha))
-        entries.append((f"{self.fc.name}.weight", "weight", self.fc.w))
-        return entries
 
 
 # -- preset construction --------------------------------------------------
@@ -656,7 +602,7 @@ def build_preset(
 
     if name.startswith("convnet"):
         pools = _POOL_PLANS[image_size]
-        blocks = []
+        blocks, table = [], []
         cin = in_channels
         for i, cout in enumerate(_CONVNET_CHANNELS):
             has_bn = not (name == "convnet-nobn-tail" and i == len(_CONVNET_CHANNELS) - 1)
@@ -666,15 +612,18 @@ def build_preset(
                 rng=rng, dtype=dtype,
             )
             pool = Pool("avg", pools[i]) if i in pools else None
-            blocks.append(
-                Block(conv, BatchNorm2d(cout, dtype=dtype) if has_bn else None,
-                      act=True, pact=act_factory(), pool=pool)
-            )
+            block = Block(conv, BatchNorm2d(cout, dtype=dtype) if has_bn else None,
+                          act=True, pact=act_factory(), pool=pool)
+            blocks.append(block)
+            table.append(LayerRecord([(conv.name, conv), (f"{conv.name}.bn", block.bn),
+                                      (f"{conv.name}.pact", block.pact), ("", pool)],
+                                     skip_boundary=False))
             cin = cout
         fc = DenseLayer("fc", cin, classes,
                         scheme=layer_scheme(len(blocks), classes, False),
                         rng=rng, dtype=dtype)
-        model = ConvNet(blocks, fc, name, image_size, in_channels, classes)
+        table.append(LayerRecord([(fc.name, fc)], skip_boundary=False))
+        model = ConvNet(blocks, fc, table, name)
     else:
         width = 16
         conv_in = Conv2dLayer(
@@ -683,35 +632,40 @@ def build_preset(
             rng=rng, dtype=dtype,
         )
         pool_in = Pool("avg", 2)
+        table = [LayerRecord([(conv_in.name, conv_in), ("", pool_in)], skip_boundary=True)]
         res_blocks = []
+        mid_pools = [Pool("avg", 2), None]
         idx = 1
-        for bi in range(2):
+        for bi, pool in enumerate(mid_pools):
+            b = f"res{bi + 1}"
             conv1 = Conv2dLayer(
-                f"res{bi + 1}.conv1", width, width, 3, pad=1,
+                f"{b}.conv1", width, width, 3, pad=1,
                 scheme=layer_scheme(idx, width * 9, True), follows_bn=True,
                 rng=rng, dtype=dtype,
             )
             conv2 = Conv2dLayer(
-                f"res{bi + 1}.conv2", width, width, 3, pad=1,
+                f"{b}.conv2", width, width, 3, pad=1,
                 scheme=layer_scheme(idx + 1, width * 9, False), follows_bn=False,
                 rng=rng, dtype=dtype,
             )
-            res_blocks.append(
-                _PreActResBlock(
-                    f"res{bi + 1}", BatchNorm2d(width, dtype=dtype), act_factory(),
-                    conv1, BatchNorm2d(width, dtype=dtype), act_factory(), conv2,
-                )
+            block = _PreActResBlock(
+                b, BatchNorm2d(width, dtype=dtype), act_factory(),
+                conv1, BatchNorm2d(width, dtype=dtype), act_factory(), conv2,
             )
+            res_blocks.append(block)
+            table.append(LayerRecord([(f"{b}.bn1", block.bn1), (f"{b}.pact1", block.pact1),
+                                      (conv1.name, conv1)], skip_boundary=False))
+            table.append(LayerRecord([(f"{b}.bn2", block.bn2), (f"{b}.pact2", block.pact2),
+                                      (conv2.name, conv2), ("", pool)], skip_boundary=True))
             idx += 2
-        mid_pools = [Pool("avg", 2), None]
-        final_spatial = image_size // 4
-        model = PreResNetToy(
-            conv_in, pool_in, res_blocks, mid_pools,
-            BatchNorm2d(width, dtype=dtype), act_factory(), Pool("avg", final_spatial),
-            DenseLayer("fc", width, classes,
-                       scheme=layer_scheme(idx, classes, False), rng=rng, dtype=dtype),
-            name, image_size, in_channels, classes,
-        )
+        bn_out, pact_out = BatchNorm2d(width, dtype=dtype), act_factory()
+        pool_out = Pool("avg", image_size // 4)
+        fc = DenseLayer("fc", width, classes,
+                        scheme=layer_scheme(idx, classes, False), rng=rng, dtype=dtype)
+        table.append(LayerRecord([("tail.bn", bn_out), ("tail.pact", pact_out),
+                                  ("", pool_out), (fc.name, fc)], skip_boundary=False))
+        model = PreResNetToy(conv_in, pool_in, res_blocks, mid_pools, bn_out, pact_out,
+                             pool_out, fc, table, name)
 
     for msg in validate_model(model):
         log.warning("%s: %s", name, msg)

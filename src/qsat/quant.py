@@ -35,8 +35,8 @@ __all__ = [
     "dorefa_clamp",
     "signed_clamped",
     "quantize_weight",
-    "constant_rescale",
-    "stddev_rescale",
+    "rescale_scalar",
+    "rescale",
     "effective_weight",
     "pact_quantize",
     "ALPHA_INIT",
@@ -180,41 +180,32 @@ def quantize_weight(wt: Tensor, bits: int) -> Tensor:
     return qk(wt, bits) * 2.0 - 1.0
 
 
-def constant_rescale(x: Tensor, fan_out: int) -> Tensor:
-    """Divide by the detached scalar sqrt(fan_out * mean_square(x)).
+def rescale_scalar(q: Tensor | np.ndarray, scheme: QuantScheme,
+                   w: Tensor | np.ndarray) -> float:
+    """The detached scalar of a rescaled scheme, from the statistics of the
+    effective weight ``q`` (and, for STDDEV, of the raw weight ``w``).
 
-    Backward is division by that constant only; the scale factor itself
-    receives no gradient.  Post-condition: mean_square(out) * fan_out == 1.
+    CONSTANT divides by sqrt(fan_out * E[q^2]), which this returns, so that
+    E[out^2] * fan_out == 1.  STDDEV multiplies by sqrt(E[w^2] / E[q^2]),
+    which this returns, so that E[out^2] == E[w^2].  Either way the scalar
+    is a constant of the graph: it receives no gradient.
     """
-    ms = mean_square_value(x)
-    if ms == 0.0:
-        raise DegenerateLayerError("cannot rescale a zero-variance tensor")
-    return x / math.sqrt(fan_out * ms)
-
-
-def stddev_rescale(w_eff: Tensor, w_orig: Tensor) -> Tensor:
-    """Rescale the effective weights to the original root-mean-square.
-
-    The scalar factor is detached, like CONSTANT rescaling.
-    """
-    ms_eff = mean_square_value(w_eff)
-    ms_orig = mean_square_value(w_orig)
-    if ms_eff == 0.0 or ms_orig == 0.0:
-        raise DegenerateLayerError("cannot rescale a zero-variance tensor")
-    return w_eff * math.sqrt(ms_orig / ms_eff)
-
-
-def rescale_factor(eff: Tensor | np.ndarray, scheme: QuantScheme,
-                   w_orig: Tensor | np.ndarray | None = None) -> float:
-    """The detached scalar the effective weight gets multiplied by."""
-    if scheme.rescale is RescaleMode.NONE:
-        return 1.0
-    ms_eff = mean_square_value(eff)
-    if ms_eff == 0.0:
+    ms_q = mean_square_value(q)
+    ms_w = mean_square_value(w) if scheme.rescale is RescaleMode.STDDEV else 1.0
+    if ms_q == 0.0 or ms_w == 0.0:
         raise DegenerateLayerError("cannot rescale a zero-variance tensor")
     if scheme.rescale is RescaleMode.CONSTANT:
-        return 1.0 / math.sqrt(scheme.fan_out * ms_eff)
-    return math.sqrt(mean_square_value(w_orig) / ms_eff)
+        return math.sqrt(scheme.fan_out * ms_q)
+    return math.sqrt(ms_w / ms_q)
+
+
+def rescale(q: Tensor, scheme: QuantScheme, w: Tensor) -> Tensor:
+    """The effective weight ``q`` of the raw weight ``w``, rescaled as the
+    scheme says."""
+    if scheme.rescale is RescaleMode.NONE:
+        return q
+    scalar = rescale_scalar(q, scheme, w)
+    return q / scalar if scheme.rescale is RescaleMode.CONSTANT else q * scalar
 
 
 def effective_weight(w: Tensor, scheme: QuantScheme) -> Tensor:
@@ -229,11 +220,7 @@ def effective_weight(w: Tensor, scheme: QuantScheme) -> Tensor:
         eff = quantize_weight(wt, scheme.bits)
     else:
         eff = signed_clamped(wt)
-    if scheme.rescale is RescaleMode.CONSTANT:
-        eff = constant_rescale(eff, scheme.fan_out)
-    elif scheme.rescale is RescaleMode.STDDEV:
-        eff = stddev_rescale(eff, w)
-    return eff
+    return rescale(eff, scheme, w)
 
 
 def pact_quantize(x: Tensor, state: PactState) -> Tensor:

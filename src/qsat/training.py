@@ -129,7 +129,12 @@ class TrainConfig:
 
 
 def _valid_bits(value: str, words: tuple[str, ...]) -> bool:
-    return value in words or (value.isdecimal() and 1 <= int(value) <= 16)
+    if value in words:
+        return True
+    try:
+        return value.isdecimal() and 1 <= int(value) <= 16
+    except ValueError:  # past int()'s digit limit
+        return False
 
 
 _INT_KEYS = {"epochs", "batch_size", "warmup_epochs", "seed", "diag_every",
@@ -398,66 +403,75 @@ def train(
     metrics_rows = []
     records: list[diagnostics.DiagnosticsRecord] = []
     step = 0
-    for epoch in range(cfg.epochs):
-        order = data_rng.permutation(len(train_set))
-        flips = (
-            data_rng.random(len(train_set)) < 0.5
-            if flip_augment
-            else np.zeros(len(train_set), dtype=bool)
-        )
-        loss_sum = 0.0
-        hit1 = hit5 = seen = 0
-        lr = 0.0
-        for b in range(steps_per_epoch):
-            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            images = train_set.images[idx].copy()
-            flip_mask = flips[idx]
-            if flip_mask.any():
-                images[flip_mask] = images[flip_mask][..., ::-1]
-            batch = Batch(images, train_set.labels[idx])
 
-            opt.zero_grad()
-            logits = model.forward(Tensor(batch.images), training=True)
-            loss = cross_entropy(logits, batch.labels)
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch} step {step}"
-                )
-            loss.backward()
+    def on_float_error(kind: str, flag: int) -> None:
+        # numpy calls this in place of a RuntimeWarning: log the first error
+        # with where it happened, and ignore the rest until the loop ends
+        np.seterr(over="ignore", invalid="ignore", divide="ignore")
+        log.warning("floating-point error (%s) at epoch %d step %d; later ones "
+                    "in this run are not logged", kind, epoch, step)
 
-            if step % cfg.diag_every == 0 or b == 0 or b == steps_per_epoch - 1:
-                lr_now = lr_schedule(step, total_steps, warmup_steps, cfg.peak_lr)
-                records.extend(diagnostics.collect_records(model, step, lr_now))
+    with np.errstate(over="call", invalid="call", divide="call", call=on_float_error):
+        for epoch in range(cfg.epochs):
+            order = data_rng.permutation(len(train_set))
+            flips = (
+                data_rng.random(len(train_set)) < 0.5
+                if flip_augment
+                else np.zeros(len(train_set), dtype=bool)
+            )
+            loss_sum = 0.0
+            hit1 = hit5 = seen = 0
+            lr = 0.0
+            for b in range(steps_per_epoch):
+                idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                images = train_set.images[idx].copy()
+                flip_mask = flips[idx]
+                if flip_mask.any():
+                    images[flip_mask] = images[flip_mask][..., ::-1]
+                batch = Batch(images, train_set.labels[idx])
 
-            lr = lr_schedule(step, total_steps, warmup_steps, cfg.peak_lr)
-            opt.step(lr)
-            for state in model.pact_states():
-                state.clamp_alpha()
+                opt.zero_grad()
+                logits = model.forward(Tensor(batch.images), training=True)
+                loss = cross_entropy(logits, batch.labels)
+                loss_value = loss.item()
+                if not math.isfinite(loss_value):
+                    raise DivergenceError(
+                        f"non-finite loss at epoch {epoch} step {step}"
+                    )
+                loss.backward()
 
-            loss_sum += loss_value
-            pred = logits.data.argmax(axis=1)
-            hit1 += int(np.sum(pred == batch.labels))
-            hit5 += _topk_hits(logits.data, batch.labels, 5)
-            seen += len(batch.labels)
-            step += 1
+                if step % cfg.diag_every == 0 or b == 0 or b == steps_per_epoch - 1:
+                    lr_now = lr_schedule(step, total_steps, warmup_steps, cfg.peak_lr)
+                    records.extend(diagnostics.collect_records(model, step, lr_now))
 
-        train_top1 = hit1 / seen
-        train_top5 = hit5 / seen
-        val_top1, val_top5 = evaluate(model, val_set, batch_size=cfg.batch_size)
-        metrics_rows.append(
-            (epoch, "train", f"{train_top1:.6f}", f"{train_top5:.6f}",
-             f"{loss_sum / steps_per_epoch:.6f}", f"{lr:.8f}")
-        )
-        metrics_rows.append(
-            (epoch, "val", f"{val_top1:.6f}", f"{val_top5:.6f}", "", f"{lr:.8f}")
-        )
-        log.info(
-            "epoch %d: train top1 %.4f, val top1 %.4f, loss %.4f",
-            epoch, train_top1, val_top1, loss_sum / steps_per_epoch,
-        )
-        if out_dir is not None and save_checkpoint_fn is not None:
-            save_checkpoint_fn(model, out_dir / "checkpoint.ckpt")
+                lr = lr_schedule(step, total_steps, warmup_steps, cfg.peak_lr)
+                opt.step(lr)
+                for state in model.pact_states():
+                    state.clamp_alpha()
+
+                loss_sum += loss_value
+                pred = logits.data.argmax(axis=1)
+                hit1 += int(np.sum(pred == batch.labels))
+                hit5 += _topk_hits(logits.data, batch.labels, 5)
+                seen += len(batch.labels)
+                step += 1
+
+            train_top1 = hit1 / seen
+            train_top5 = hit5 / seen
+            val_top1, val_top5 = evaluate(model, val_set, batch_size=cfg.batch_size)
+            metrics_rows.append(
+                (epoch, "train", f"{train_top1:.6f}", f"{train_top5:.6f}",
+                 f"{loss_sum / steps_per_epoch:.6f}", f"{lr:.8f}")
+            )
+            metrics_rows.append(
+                (epoch, "val", f"{val_top1:.6f}", f"{val_top5:.6f}", "", f"{lr:.8f}")
+            )
+            log.info(
+                "epoch %d: train top1 %.4f, val top1 %.4f, loss %.4f",
+                epoch, train_top1, val_top1, loss_sum / steps_per_epoch,
+            )
+            if out_dir is not None and save_checkpoint_fn is not None:
+                save_checkpoint_fn(model, out_dir / "checkpoint.ckpt")
 
     if out_dir is not None:
         (out_dir / "metrics.csv").write_text(_metrics_csv(metrics_rows))

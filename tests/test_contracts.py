@@ -1,0 +1,253 @@
+"""Literal pins of the model's layer lists: checkpoint (name, role) order,
+``parameters()`` order and every ``LinearInfo`` field, for the three presets.
+
+Checkpoint order defines the payload order of every checkpoint file, and
+``LinearInfo`` feeds the diagnostics rows and the folded walk, so these lists
+are file-format contracts.  The one order that may change is where a
+pre-activation block's PACT clip levels sit in ``parameters()``: SGD updates
+each parameter on its own, so that order never reaches a trained byte.
+"""
+
+import pytest
+
+from qsat.network import build_preset
+
+CONVNET_BN_Q4_STATE = [
+    ("block1.weight", "weight"), ("block1.bn.gamma", "bn_gamma"),
+    ("block1.bn.beta", "bn_beta"), ("block1.bn.running_mean", "bn_mean"),
+    ("block1.bn.running_var", "bn_var"), ("block1.pact.alpha", "alpha"),
+    ("block2.weight", "weight"), ("block2.bn.gamma", "bn_gamma"),
+    ("block2.bn.beta", "bn_beta"), ("block2.bn.running_mean", "bn_mean"),
+    ("block2.bn.running_var", "bn_var"), ("block2.pact.alpha", "alpha"),
+    ("block3.weight", "weight"), ("block3.bn.gamma", "bn_gamma"),
+    ("block3.bn.beta", "bn_beta"), ("block3.bn.running_mean", "bn_mean"),
+    ("block3.bn.running_var", "bn_var"), ("block3.pact.alpha", "alpha"),
+    ("block4.weight", "weight"), ("block4.bn.gamma", "bn_gamma"),
+    ("block4.bn.beta", "bn_beta"), ("block4.bn.running_mean", "bn_mean"),
+    ("block4.bn.running_var", "bn_var"), ("block4.pact.alpha", "alpha"),
+    ("block5.weight", "weight"), ("block5.bn.gamma", "bn_gamma"),
+    ("block5.bn.beta", "bn_beta"), ("block5.bn.running_mean", "bn_mean"),
+    ("block5.bn.running_var", "bn_var"), ("block5.pact.alpha", "alpha"),
+    ("block6.weight", "weight"), ("block6.bn.gamma", "bn_gamma"),
+    ("block6.bn.beta", "bn_beta"), ("block6.bn.running_mean", "bn_mean"),
+    ("block6.bn.running_var", "bn_var"), ("block6.pact.alpha", "alpha"),
+    ("fc.weight", "weight"),
+]
+
+CONVNET_NOBN_TAIL_FP_STATE = [
+    ("block1.weight", "weight"), ("block1.bn.gamma", "bn_gamma"),
+    ("block1.bn.beta", "bn_beta"), ("block1.bn.running_mean", "bn_mean"),
+    ("block1.bn.running_var", "bn_var"),
+    ("block2.weight", "weight"), ("block2.bn.gamma", "bn_gamma"),
+    ("block2.bn.beta", "bn_beta"), ("block2.bn.running_mean", "bn_mean"),
+    ("block2.bn.running_var", "bn_var"),
+    ("block3.weight", "weight"), ("block3.bn.gamma", "bn_gamma"),
+    ("block3.bn.beta", "bn_beta"), ("block3.bn.running_mean", "bn_mean"),
+    ("block3.bn.running_var", "bn_var"),
+    ("block4.weight", "weight"), ("block4.bn.gamma", "bn_gamma"),
+    ("block4.bn.beta", "bn_beta"), ("block4.bn.running_mean", "bn_mean"),
+    ("block4.bn.running_var", "bn_var"),
+    ("block5.weight", "weight"), ("block5.bn.gamma", "bn_gamma"),
+    ("block5.bn.beta", "bn_beta"), ("block5.bn.running_mean", "bn_mean"),
+    ("block5.bn.running_var", "bn_var"),
+    ("block6.weight", "weight"),
+    ("fc.weight", "weight"),
+]
+
+PRERESNET_Q4_STATE = [
+    ("stem.weight", "weight"),
+    ("res1.bn1.gamma", "bn_gamma"), ("res1.bn1.beta", "bn_beta"),
+    ("res1.bn1.running_mean", "bn_mean"), ("res1.bn1.running_var", "bn_var"),
+    ("res1.bn2.gamma", "bn_gamma"), ("res1.bn2.beta", "bn_beta"),
+    ("res1.bn2.running_mean", "bn_mean"), ("res1.bn2.running_var", "bn_var"),
+    ("res1.pact1.alpha", "alpha"), ("res1.pact2.alpha", "alpha"),
+    ("res1.conv1.weight", "weight"), ("res1.conv2.weight", "weight"),
+    ("res2.bn1.gamma", "bn_gamma"), ("res2.bn1.beta", "bn_beta"),
+    ("res2.bn1.running_mean", "bn_mean"), ("res2.bn1.running_var", "bn_var"),
+    ("res2.bn2.gamma", "bn_gamma"), ("res2.bn2.beta", "bn_beta"),
+    ("res2.bn2.running_mean", "bn_mean"), ("res2.bn2.running_var", "bn_var"),
+    ("res2.pact1.alpha", "alpha"), ("res2.pact2.alpha", "alpha"),
+    ("res2.conv1.weight", "weight"), ("res2.conv2.weight", "weight"),
+    ("tail.bn.gamma", "bn_gamma"), ("tail.bn.beta", "bn_beta"),
+    ("tail.bn.running_mean", "bn_mean"), ("tail.bn.running_var", "bn_var"),
+    ("tail.pact.alpha", "alpha"),
+    ("fc.weight", "weight"),
+]
+
+PRERESNET_RAW_STATE = [
+    ("stem.weight", "weight"),
+    ("res1.bn1.gamma", "bn_gamma"), ("res1.bn1.beta", "bn_beta"),
+    ("res1.bn1.running_mean", "bn_mean"), ("res1.bn1.running_var", "bn_var"),
+    ("res1.bn2.gamma", "bn_gamma"), ("res1.bn2.beta", "bn_beta"),
+    ("res1.bn2.running_mean", "bn_mean"), ("res1.bn2.running_var", "bn_var"),
+    ("res1.conv1.weight", "weight"), ("res1.conv2.weight", "weight"),
+    ("res2.bn1.gamma", "bn_gamma"), ("res2.bn1.beta", "bn_beta"),
+    ("res2.bn1.running_mean", "bn_mean"), ("res2.bn1.running_var", "bn_var"),
+    ("res2.bn2.gamma", "bn_gamma"), ("res2.bn2.beta", "bn_beta"),
+    ("res2.bn2.running_mean", "bn_mean"), ("res2.bn2.running_var", "bn_var"),
+    ("res2.conv1.weight", "weight"), ("res2.conv2.weight", "weight"),
+    ("tail.bn.gamma", "bn_gamma"), ("tail.bn.beta", "bn_beta"),
+    ("tail.bn.running_mean", "bn_mean"), ("tail.bn.running_var", "bn_var"),
+    ("fc.weight", "weight"),
+]
+
+CONVNET_BN_Q4_PARAMS = [
+    "block1.weight", "block1.bn.gamma", "block1.bn.beta", "block1.pact.alpha",
+    "block2.weight", "block2.bn.gamma", "block2.bn.beta", "block2.pact.alpha",
+    "block3.weight", "block3.bn.gamma", "block3.bn.beta", "block3.pact.alpha",
+    "block4.weight", "block4.bn.gamma", "block4.bn.beta", "block4.pact.alpha",
+    "block5.weight", "block5.bn.gamma", "block5.bn.beta", "block5.pact.alpha",
+    "block6.weight", "block6.bn.gamma", "block6.bn.beta", "block6.pact.alpha",
+    "fc.weight",
+]
+
+CONVNET_NOBN_TAIL_FP_PARAMS = [
+    "block1.weight", "block1.bn.gamma", "block1.bn.beta",
+    "block2.weight", "block2.bn.gamma", "block2.bn.beta",
+    "block3.weight", "block3.bn.gamma", "block3.bn.beta",
+    "block4.weight", "block4.bn.gamma", "block4.bn.beta",
+    "block5.weight", "block5.bn.gamma", "block5.bn.beta",
+    "block6.weight",
+    "fc.weight",
+]
+
+# a block's clip levels after its convs ...
+PRERESNET_Q4_PARAMS_BLOCK_END = [
+    "stem.weight",
+    "res1.bn1.gamma", "res1.bn1.beta", "res1.conv1.weight",
+    "res1.bn2.gamma", "res1.bn2.beta", "res1.conv2.weight",
+    "res1.pact1.alpha", "res1.pact2.alpha",
+    "res2.bn1.gamma", "res2.bn1.beta", "res2.conv1.weight",
+    "res2.bn2.gamma", "res2.bn2.beta", "res2.conv2.weight",
+    "res2.pact1.alpha", "res2.pact2.alpha",
+    "tail.bn.gamma", "tail.bn.beta", "tail.pact.alpha",
+    "fc.weight",
+]
+
+# ... or each in forward order, between its BN and its conv
+PRERESNET_Q4_PARAMS_FORWARD = [
+    "stem.weight",
+    "res1.bn1.gamma", "res1.bn1.beta", "res1.pact1.alpha", "res1.conv1.weight",
+    "res1.bn2.gamma", "res1.bn2.beta", "res1.pact2.alpha", "res1.conv2.weight",
+    "res2.bn1.gamma", "res2.bn1.beta", "res2.pact1.alpha", "res2.conv1.weight",
+    "res2.bn2.gamma", "res2.bn2.beta", "res2.pact2.alpha", "res2.conv2.weight",
+    "tail.bn.gamma", "tail.bn.beta", "tail.pact.alpha",
+    "fc.weight",
+]
+
+PRERESNET_RAW_PARAMS = [
+    "stem.weight",
+    "res1.bn1.gamma", "res1.bn1.beta", "res1.conv1.weight",
+    "res1.bn2.gamma", "res1.bn2.beta", "res1.conv2.weight",
+    "res2.bn1.gamma", "res2.bn1.beta", "res2.conv1.weight",
+    "res2.bn2.gamma", "res2.bn2.beta", "res2.conv2.weight",
+    "tail.bn.gamma", "tail.bn.beta",
+    "fc.weight",
+]
+
+# (index, name, k_pool, kappa_k, pact alpha's checkpoint name, skip_boundary,
+#  preceding_pool_k) per linear layer, at 32x32 images
+CONVNET_INFOS_32 = [
+    (0, "block1", 2.0, 2.0, "block1.pact.alpha", False, 1.0),
+    (1, "block2", 1.0, 1.0, "block2.pact.alpha", False, 2.0),
+    (2, "block3", 2.0, 2.0, "block3.pact.alpha", False, 1.0),
+    (3, "block4", 1.0, 1.0, "block4.pact.alpha", False, 2.0),
+    (4, "block5", 2.0, 2.0, "block5.pact.alpha", False, 1.0),
+    (5, "block6", 4.0, 4.0, "block6.pact.alpha", False, 2.0),
+    (6, "fc", 1.0, 1.0, None, False, 4.0),
+]
+
+PRERESNET_INFOS_32 = [
+    (0, "stem", 2.0, 2.0, None, True, 1.0),
+    (1, "res1.conv1", 1.0, 1.0, "res1.pact1.alpha", False, 2.0),
+    (2, "res1.conv2", 2.0, 2.0, "res1.pact2.alpha", True, 1.0),
+    (3, "res2.conv1", 1.0, 1.0, "res2.pact1.alpha", False, 2.0),
+    (4, "res2.conv2", 1.0, 1.0, "res2.pact2.alpha", True, 1.0),
+    (5, "fc", 1.0, 1.0, "tail.pact.alpha", False, 8.0),
+]
+
+
+def _without_alpha(infos):
+    return [(i, n, k, kk, None, skip, pre) for i, n, k, kk, _, skip, pre in infos]
+
+
+MODELS = {
+    "convnet-bn-q4": (
+        "convnet-bn", dict(weight_bits=4, act_bits=4),
+        CONVNET_BN_Q4_STATE, [CONVNET_BN_Q4_PARAMS], CONVNET_INFOS_32,
+    ),
+    "convnet-nobn-tail-fp": (
+        "convnet-nobn-tail", dict(weight_bits="fp"),
+        CONVNET_NOBN_TAIL_FP_STATE, [CONVNET_NOBN_TAIL_FP_PARAMS],
+        _without_alpha(CONVNET_INFOS_32),
+    ),
+    "preresnet-toy-q4": (
+        "preresnet-toy", dict(weight_bits=4, act_bits=4),
+        PRERESNET_Q4_STATE,
+        [PRERESNET_Q4_PARAMS_BLOCK_END, PRERESNET_Q4_PARAMS_FORWARD],
+        PRERESNET_INFOS_32,
+    ),
+    "preresnet-toy-raw": (
+        "preresnet-toy", dict(weight_bits="raw"),
+        PRERESNET_RAW_STATE, [PRERESNET_RAW_PARAMS],
+        _without_alpha(PRERESNET_INFOS_32),
+    ),
+}
+
+
+def _build(key):
+    preset, kwargs, *_ = MODELS[key]
+    return build_preset(preset, seed=5, **kwargs)
+
+
+def _names_by_owner(model):
+    return {id(owner): name for name, _, owner in model.named_state()}
+
+
+@pytest.mark.parametrize("key", MODELS)
+def test_checkpoint_names_and_roles(key):
+    model = _build(key)
+    assert [(name, role) for name, role, _ in model.named_state()] == MODELS[key][2]
+    assert [(name, role) for name, role, _ in model.state_arrays()] == MODELS[key][2]
+
+
+@pytest.mark.parametrize("key", MODELS)
+def test_parameters_order(key):
+    model = _build(key)
+    names = _names_by_owner(model)
+    order = [names[id(p)] for p in model.parameters()]
+    assert order in MODELS[key][3]
+
+
+@pytest.mark.parametrize("key", MODELS)
+def test_linear_info_fields(key):
+    model = _build(key)
+    names = _names_by_owner(model)
+    got = [
+        (info.index, info.name, info.k_pool, info.kappa_k,
+         None if info.pact is None else names[id(info.pact.alpha)],
+         info.skip_boundary, info.preceding_pool_k)
+        for info in model.linear_infos()
+    ]
+    assert got == MODELS[key][4]
+    for info in model.linear_infos():
+        assert names[id(info.layer.w)] == f"{info.name}.weight"
+
+
+@pytest.mark.parametrize("key", MODELS)
+def test_pact_states_follow_the_infos(key):
+    model = _build(key)
+    want = [info.pact for info in model.linear_infos() if info.pact is not None]
+    assert [id(p) for p in model.pact_states()] == [id(p) for p in want]
+
+
+@pytest.mark.parametrize("preset, pools", [
+    ("convnet-bn", [(2.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 2.0), (1.0, 1.0),
+                    (7.0, 1.0), (1.0, 7.0)]),
+    ("preresnet-toy", [(2.0, 1.0), (1.0, 2.0), (2.0, 1.0), (1.0, 2.0), (1.0, 1.0),
+                       (1.0, 7.0)]),
+])
+def test_pool_fields_at_28_pixels(preset, pools):
+    model = build_preset(preset, image_size=28, weight_bits="fp")
+    got = [(info.k_pool, info.preceding_pool_k) for info in model.linear_infos()]
+    assert got == pools

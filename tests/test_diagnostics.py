@@ -14,7 +14,6 @@ from qsat.diagnostics import (
     LayerStats,
     clamp_variance_study,
     collect_records,
-    collect_static_records,
     etr_check,
     kappa0,
     kappa1,
@@ -157,7 +156,7 @@ class TestCollect:
 
     def test_static_records_have_no_gradients(self):
         model = build_preset("convnet-bn", weight_bits="fp", seed=19)
-        records = collect_static_records(model)
+        records = collect_records(model, 0, None)
         assert all(r.var_grad is None for r in records)
         assert records[-1].kappa0 is not None
 
@@ -186,24 +185,24 @@ class TestEtrCheck:
     def test_sat_model_passes_both_rules(self):
         model = build_preset("convnet-bn", weight_bits="fp",
                              rescale=RescaleMode.CONSTANT, seed=21)
-        report = etr_check(model, collect_static_records(model))
+        report = etr_check(model, collect_records(model, 0, None))
         assert report.passed
 
     def test_raw_kaiming_init_passes(self):
         model = build_preset("convnet-bn", weight_bits="raw", seed=22)
-        report = etr_check(model, collect_static_records(model))
+        report = etr_check(model, collect_records(model, 0, None))
         assert report.passed
 
     def test_rule_two_band(self):
         # no rescale: the weight-variance-times-fan-out product must stay
         # within one decade of 1
         model = build_preset("convnet-nobn-tail", weight_bits="raw", seed=23)
-        report = etr_check(model, collect_static_records(model))
+        report = etr_check(model, collect_records(model, 0, None))
         assert report.verdict("ETR-II") == "PASS"  # raw init product is ~1
         tail = model.blocks[-1].conv
         tail.w.data = tail.w.data * 5.0  # product ~25, outside the band
         tail.last_effective = None
-        report = etr_check(model, collect_static_records(model))
+        report = etr_check(model, collect_records(model, 0, None))
         assert report.verdict("ETR-II") == "FAIL"
 
     def test_clamped_tail_without_rescale_is_near_the_band_edge(self):
@@ -213,14 +212,14 @@ class TestEtrCheck:
         # spreads the weights)
         model = build_preset("convnet-nobn-tail", weight_bits="fp",
                              rescale=RescaleMode.NONE, seed=23)
-        records = collect_static_records(model)
+        records = collect_records(model, 0, None)
         tail = [r for r in records if r.layer == 5][0]
         assert tail.var_weight * tail.n_hat > 3.0
 
     def test_verdicts_do_not_depend_on_rng_state(self):
         model = build_preset("convnet-bn", weight_bits="fp",
                              rescale=RescaleMode.CONSTANT, seed=24)
-        records = collect_static_records(model)
+        records = collect_records(model, 0, None)
         first = etr_check(model, records)
         np.random.default_rng(0).normal(size=1000)  # churn unrelated RNG
         second = etr_check(model, records)

@@ -10,14 +10,14 @@ from qsat.quant import (
     PactState,
     QuantScheme,
     RescaleMode,
-    constant_rescale,
     dorefa_clamp,
     effective_weight,
     pact_quantize,
     qk,
     quantize_weight,
+    rescale,
+    rescale_scalar,
     signed_clamped,
-    stddev_rescale,
 )
 from qsat.tensor import (
     DomainError,
@@ -139,6 +139,14 @@ class TestQuantizeWeight:
         )
 
 
+def constant_rescale(x, fan_out):
+    return rescale(x, QuantScheme(bits=None, rescale=RescaleMode.CONSTANT, fan_out=fan_out), x)
+
+
+def stddev_rescale(w_eff, w_orig):
+    return rescale(w_eff, QuantScheme(bits=None, rescale=RescaleMode.STDDEV), w_orig)
+
+
 class TestConstantRescale:
     def test_sign_pattern_value(self):
         x = Tensor(np.where(rand(256, seed=3) > 0, 1.0, -1.0))
@@ -244,8 +252,6 @@ class TestEffectiveWeight:
         ids=["fp", "q2", "q4-const", "fp-stddev"],
     )
     def test_bounded_by_rescale_factor(self, scheme):
-        from qsat.quant import rescale_factor
-
         w = Tensor(rand(500, seed=13, scale=0.1))
         out = effective_weight(w, scheme)
         if scheme.rescale is RescaleMode.NONE:
@@ -257,7 +263,8 @@ class TestEffectiveWeight:
                     if scheme.is_quantized
                     else signed_clamped(dorefa_clamp(Tensor(w.data)))
                 )
-            bound = rescale_factor(pre, scheme, w)
+            scalar = rescale_scalar(pre, scheme, w)
+            bound = 1.0 / scalar if scheme.rescale is RescaleMode.CONSTANT else scalar
         assert np.max(np.abs(out.data)) <= bound * (1 + 1e-12)
 
     def test_quantized_rescale_uses_post_quantization_variance(self):

@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -377,10 +379,20 @@ class TestTrainLoop:
             idx = (pre.astype(np.float64) + 1.0) * a / 2.0
             npt.assert_allclose(idx, np.rint(idx), atol=1e-3)
 
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, caplog):
         # raw unclamped weights with an absurd rate overflow float32 within
         # a few dozen steps; clamped schemes are saturation-proof by design
         cfg = tiny_cfg(bits="raw", rescale="none", base_lr=1e4,
                        warmup_epochs=0, epochs=4)
-        with pytest.raises(DivergenceError):
-            train(cfg)
+        with warnings.catch_warnings(record=True) as caught, \
+                caplog.at_level(logging.WARNING, logger="qsat.training"):
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError):
+                train(cfg)
+        # numpy's overflow and invalid-value warnings go to the run's log,
+        # once, with where the first one happened
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        logged = [r for r in caplog.records if r.name == "qsat.training"]
+        assert len(logged) == 1
+        assert "floating-point error" in logged[0].getMessage()
+        assert "epoch 0 step" in logged[0].getMessage()
