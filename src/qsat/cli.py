@@ -178,6 +178,7 @@ def cmd_eval(args) -> int:
     ckpt = deployment.load_checkpoint(args.init)
     if ckpt.kind == "folded":
         folded = deployment.load_folded(args.init)
+        folded.check_input(val_set.image_shape)
         hits1 = hits5 = 0
         for start in range(0, len(val_set), cfg.batch_size):
             images = val_set.images[start : start + cfg.batch_size]

@@ -40,7 +40,8 @@ class Batch:
         if self.images.ndim != 4:
             raise DatasetError(f"batch images must be 4-D, got {self.images.shape}")
         lo, hi = float(self.images.min()), float(self.images.max())
-        if lo < 0.0 or hi > 255.0:
+        # written so that a NaN pixel fails it
+        if not (lo >= 0.0 and hi <= 255.0):
             raise DatasetError(f"image values outside [0, 255]: min {lo}, max {hi}")
 
 
@@ -66,8 +67,9 @@ class ArrayDataset:
 
 
 def _upsample_nearest(coarse: np.ndarray, size: int) -> np.ndarray:
-    factor = size // coarse.shape[-1]
-    return np.kron(coarse, np.ones((1, factor, factor)))
+    # cropped, for a grid that does not divide the size (28 pixels, grid 3)
+    factor = -(-size // coarse.shape[-1])
+    return np.kron(coarse, np.ones((1, factor, factor)))[:, :size, :size]
 
 
 def make_blobs(

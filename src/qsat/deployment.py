@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _im2col, no_grad
+from .tensor import ShapeError, _conv_extent, _images_per_chunk, _lower_range, no_grad
 from .quant import PactState, RescaleMode, dorefa_clamp, rescale_scalar
 from .network import BatchNorm2d, ConvNet, Pool
 
@@ -243,14 +243,6 @@ class FoldedLayer:
         base = q * np.float32(2.0) - np.float32(1.0)
         return base * self.channel_sign.astype(np.float32).reshape(-1, 1, 1, 1)
 
-    @property
-    def offset_int(self) -> np.ndarray:
-        return np.rint(self.weight_levels * self.offset).astype(np.int64)
-
-    @property
-    def clip_int(self) -> np.ndarray:
-        return np.rint(self.weight_levels * self.clip).astype(np.int64)
-
 
 @dataclass
 class FoldedModel:
@@ -278,66 +270,126 @@ class FoldedModel:
         accumulators, one real multiply per layer, float final layer.
 
         Each conv is a float32 or float64 GEMM whose partial sums are all
-        integers the dtype holds exactly (``_gemm_dtype``), so the result
+        integers the dtype holds exactly (``_layer_plan``), so the result
         is that of int64 arithmetic.  The last layer's positive rescale
         factor is dropped, which leaves the logit argmax unchanged.
         """
         x = np.rint(images)
-        if x.min() < 0 or x.max() > self.layers[0].in_levels:
+        # written so that a NaN pixel fails it
+        if not (x.min() >= 0 and x.max() <= self.layers[0].in_levels):
             raise ValueError("integer inputs outside the expected grid range")
         return self._forward(x, exact=True)[0]
 
+    def check_input(self, image_shape) -> None:
+        """Raise ``CheckpointError`` unless every layer tiles its input,
+        starting from (c, h, w) images, and ``fc_weight`` has one row per
+        activation of the last layer."""
+        c, h, w = image_shape
+        for layer in self.layers:
+            co, ci, k = np.shape(layer.weight_idx)[:3]
+            p = layer.pool_k
+            try:
+                ho, wo, _, _ = _conv_extent(h, w, k, layer.stride, layer.pad)
+            except ShapeError:
+                ho = wo = 0
+            if ci != c or min(ho, wo) < 1 or ho % p or wo % p:
+                raise CheckpointError(f"layer '{layer.name}' does not tile a {c}x{h}x{w} input (kernel "
+                                      f"{ci}x{k}x{k}, stride {layer.stride}, pad {layer.pad}, pool {p})")
+            c, h, w = co, ho // p, wo // p
+        if np.ndim(self.fc_weight) != 2 or len(self.fc_weight) != c * h * w:
+            raise CheckpointError(f"fc_weight of shape {np.shape(self.fc_weight)} does not take "
+                                  f"the {c * h * w} activations of the last layer")
+
     def _forward(self, x: np.ndarray, exact: bool):
-        """The layer loop of both paths: one GEMM on im2col rows per conv,
-        then the per-channel epilogue in place, in float64, on its (rows,
-        channels) output, which the next conv reads as an NCHW view."""
+        """The layer loop of both paths.
+
+        Each conv runs over ranges of whole images whose patch rows fill
+        about ``tensor._LOWERING_CHUNK_BYTES``.  A range is lowered, put
+        through one GEMM, the per-channel epilogue in float64 and the
+        pooling while it is still in cache, in buffers made once per layer
+        and call.  Layer k writes its activations, channels last, in layer
+        k+1's GEMM dtype, and the last layer writes float64.  On the exact
+        path they are integers that dtype holds, so the pooled sums and the
+        casts are exact in any order.  On the float path every grid weight
+        is a multiple of 2^-24 no larger than 1 in magnitude, so while
+        fan-in times ``in_levels`` stays below 2^29 the float64 partial sums
+        over integer activations are exact too, and the ranges change no
+        bit there either.
+        """
         batch = len(x)
         margin = np.full(batch, np.inf)
-        for layer in self.layers:
-            if exact:
-                dtype, weights = _gemm_dtype(layer), layer.signed_weights
-                offset, clip, requant = layer.offset_int, layer.clip_int, layer.requant
-            else:
-                dtype, weights = np.float64, layer.grid_weights
-                offset, clip = layer.offset, layer.clip
-                requant = layer.requant * layer.weight_levels
-            co, k = weights.shape[0], weights.shape[2]
-            col, ho, wo, _ = _im2col(x.astype(dtype, copy=False), k, layer.stride, layer.pad)
-            acc = (col @ weights.reshape(co, -1).T.astype(dtype)).astype(np.float64, copy=False)
-            acc += offset
-            np.clip(acc, 0.0, clip, out=acc)
-            acc *= requant
-            if not exact:
-                frac = np.abs(acc - np.floor(acc) - 0.5)
-                margin = np.minimum(margin, frac.reshape(batch, -1).min(axis=1))
-            acc += 0.5
-            np.floor(acc, out=acc)
-            np.clip(acc, 0.0, layer.out_levels, out=acc)
-            out, p = acc.reshape(batch, ho, wo, co), layer.pool_k
-            if p > 1:
-                out = out.reshape(batch, ho // p, p, wo // p, p, co).sum(axis=(2, 4))
-            x = out.transpose(0, 3, 1, 2)
-        logits = (self.fc_in_scale * x.reshape(batch, -1)) @ self.fc_weight
+        x = x.transpose(0, 2, 3, 1)
+        plans = [_layer_plan(layer, exact) for layer in self.layers]
+        out_dtypes = [plan[0] for plan in plans[1:]] + [np.float64]
+        for layer, plan, out_dtype in zip(self.layers, plans, out_dtypes):
+            dtype, wmat, offset, clip, requant = plan
+            _, h, w, c = x.shape
+            co, k, p = wmat.shape[1], layer.weight_idx.shape[-1], layer.pool_k
+            ho, wo, hp, wp = _conv_extent(h, w, k, layer.stride, layer.pad)
+            step = max(1, min(batch, _images_per_chunk(ho * wo * c * k * k * np.dtype(dtype).itemsize)))
+            # the epilogue sees (rows, wo * co) views with the per-channel
+            # vectors tiled wo times, so numpy's inner loops are long
+            offset, clip, requant = (np.tile(v, wo) for v in (offset, clip, requant))
+            col = np.empty((step, ho, wo, c, k, k), dtype)
+            padded = np.zeros((step, hp, wp, c), dtype)
+            gemm, acc = np.empty((step * ho, wo * co), dtype), np.empty((step * ho, wo * co))
+            out = np.empty((batch, ho // p, wo // p, co), out_dtype)
+            pre = np.empty((step, ho, wo, co), out_dtype) if p > 1 else None
+            for s in range(0, batch, step):
+                m = min(step, batch - s)
+                g, a, dst = gemm[: m * ho], acc[: m * ho], out[s : s + m]
+                _lower_range(x[s : s + m], col[:m], padded, layer.stride, layer.pad)
+                np.matmul(col[:m].reshape(m * ho * wo, -1), wmat, out=g.reshape(-1, co))
+                np.copyto(a, g)
+                a += offset
+                np.maximum(a, 0.0, out=a)
+                np.minimum(a, clip, out=a)
+                a *= requant
+                if not exact:
+                    frac = np.abs(a - np.floor(a) - 0.5).reshape(m, -1)
+                    np.minimum(margin[s : s + m], frac.min(axis=1), out=margin[s : s + m])
+                a += 0.5
+                np.floor(a, out=a)
+                # clips and requant factors are at least 0, so nothing
+                # below 0 is left to round
+                np.minimum(a, layer.out_levels, out=(dst if p == 1 else pre[:m]).reshape(a.shape))
+                if p > 1:
+                    win = pre[:m].reshape(m, ho // p, p, wo // p, p, co)
+                    np.copyto(dst, win[:, :, 0, :, 0])
+                    for t in range(1, p * p):
+                        dst += win[:, :, t // p, :, t % p]
+            x = out
+        logits = (self.fc_in_scale * x.transpose(0, 3, 1, 2).reshape(batch, -1)) @ self.fc_weight
         return (logits if exact else self.logit_scale * logits), margin
 
 
-def _gemm_dtype(layer: FoldedLayer):
-    """Float dtype in which the layer's integer conv is exact.
+def _layer_plan(layer: FoldedLayer, exact: bool):
+    """One layer's GEMM dtype, (c*k*k, co) weight matrix, and float64
+    offset, clip and requant vectors, on the exact or the float path.
 
-    No partial sum exceeds B, the largest per-channel sum of |signed
-    weight| times ``in_levels``, in any summation order.  float32 holds
-    every integer below 2^24 exactly and float64 every one below 2^53; the
-    float64 epilogue adds the rounded offset, so B plus it stays below 2^53.
+    On the exact path no partial sum exceeds B, the largest per-channel sum
+    of |signed weight| times ``in_levels``, in any summation order.  The
+    GEMM runs in float32 when B is below 2^24 and in float64 otherwise,
+    which holds every integer below 2^53; the float64 epilogue adds the
+    rounded offset, so B plus it must stay below 2^53.
     """
-    w = np.abs(layer.signed_weights)
-    bound = int(w.reshape(len(w), -1).sum(axis=1).max()) * layer.in_levels
-    worst = bound + int(np.max(np.abs(layer.offset_int)))
-    if worst >= _ACC_LIMIT:
-        raise FoldError(
-            f"layer '{layer.name}': integer accumulator bound {worst} reaches "
-            "2^53, past what float64 holds exactly"
-        )
-    return np.float32 if bound < 2**24 else np.float64
+    if not exact:
+        weights, dtype = layer.grid_weights, np.float64
+        offset, clip, requant = layer.offset, layer.clip, layer.requant * layer.weight_levels
+    else:
+        # offsets and clips rounded to whole accumulator units
+        weights, requant = layer.signed_weights, layer.requant
+        offset, clip = (np.rint(layer.weight_levels * v) for v in (layer.offset, layer.clip))
+        bound = int(np.abs(weights).reshape(len(weights), -1).sum(axis=1).max()) * layer.in_levels
+        worst = bound + int(np.max(np.abs(offset)))
+        if worst >= _ACC_LIMIT:
+            raise FoldError(
+                f"layer '{layer.name}': integer accumulator bound {worst} reaches "
+                "2^53, past what float64 holds exactly"
+            )
+        dtype = np.float32 if bound < 2**24 else np.float64
+    wmat = weights.reshape(len(weights), -1).T.astype(dtype)
+    return dtype, wmat, *(np.asarray(v, dtype=np.float64) for v in (offset, clip, requant))
 
 
 def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:
@@ -450,7 +502,7 @@ def fold_bn(model) -> FoldedModel:
             out_levels=a_out,
             pool_k=pool_k,
         )
-        _gemm_dtype(layer)  # raises if the accumulators cannot be exact
+        _layer_plan(layer, exact=True)  # raises if the accumulators cannot be exact
         layers.append(layer)
         in_scale = (alpha_out / a_out) / (pool_k * pool_k)
         in_levels = a_out * pool_k * pool_k
@@ -529,15 +581,24 @@ def load_folded(path) -> FoldedModel:
     for prev, layer in zip([None, *layers], layers):
         idx, levels = layer.weight_idx, layer.weight_levels
         chained = prev is None or layer.in_levels == prev.out_levels * prev.pool_k**2
+        linked = prev is None or idx.ndim != 4 or idx.shape[1] == prev.weight_idx.shape[0]
         for ok, problem in (
-            (idx.ndim == 4 and np.all((idx == np.rint(idx)) & (idx >= 0) & (idx <= levels)),
-             f"int_weight is not a 4-D kernel of integers in 0..{levels}"),
+            (idx.ndim == 4 and idx.shape[2] == idx.shape[3]
+             and np.all((idx == np.rint(idx)) & (idx >= 0) & (idx <= levels)),
+             f"int_weight is not a 4-D square kernel of integers in 0..{levels}"),
+            (layer.stride >= 1 and layer.pad >= 0 and layer.pool_k >= 1,
+             "stride or pool_k is below 1, or pad is negative"),
             (np.all(np.abs(layer.channel_sign) == 1.0),
              "channel_sign holds values other than +1 and -1"),
             (all(np.shape(v) == np.shape(idx)[:1]
                  for v in (layer.channel_sign, layer.offset, layer.clip, layer.requant)),
              "a per-channel vector does not match the output channel count"),
+            (np.all(np.abs(layer.offset) * levels < _ACC_LIMIT)
+             and np.all((layer.clip >= 0) & (layer.clip * levels < _ACC_LIMIT))
+             and np.all((layer.requant >= 0) & np.isfinite(layer.requant)),
+             "clip or requant is negative, or a value is not finite or past 2^53 units"),
             (chained, "in_levels differs from the previous layer's out_levels * pool_k^2"),
+            (linked, "input channels differ from the previous layer's output channels"),
         ):
             if not ok:
                 raise CheckpointError(f"{path}: layer '{layer.name}' {problem}")

@@ -438,27 +438,39 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     run one GEMM on the whole buffer.
     """
     n, c, h, w = x.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if (hp - k) % stride or (wp - k) % stride:
-        raise ShapeError(
-            f"conv output extent not integral: input {h}x{w}, kernel {k}, "
-            f"stride {stride}, pad {pad}"
-        )
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
+    ho, wo, hp, wp = _conv_extent(h, w, k, stride, pad)
     xv = x.transpose(0, 2, 3, 1)
     col = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
     step = _images_per_chunk(ho * wo * c * k * k * x.itemsize)
     # one padded buffer for a whole chunk; its border stays zero
     xp = np.zeros((min(n, step), hp, wp, c), dtype=x.dtype)
     for s in range(0, n, step):
-        cs = col[s : s + step]
-        xs = xp[: len(cs)]
-        xs[:, pad : pad + h, pad : pad + w] = xv[s : s + step]
-        for i in range(k):
-            for j in range(k):
-                cs[..., i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        _lower_range(xv[s : s + step], col[s : s + step], xp, stride, pad)
     return col.reshape(n * ho * wo, c * k * k), ho, wo, (hp, wp)
+
+
+def _conv_extent(h: int, w: int, k: int, stride: int, pad: int):
+    """Output and padded extents (ho, wo, hp, wp) of a k x k conv."""
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if (hp - k) % stride or (wp - k) % stride:
+        raise ShapeError(
+            f"conv output extent not integral: input {h}x{w}, kernel {k}, "
+            f"stride {stride}, pad {pad}"
+        )
+    return (hp - k) // stride + 1, (wp - k) // stride + 1, hp, wp
+
+
+def _lower_range(xv: np.ndarray, col: np.ndarray, xp: np.ndarray, stride: int, pad: int):
+    """Patch rows of channels-last images ``xv`` into ``col``, an
+    (n, ho, wo, c, k, k) buffer, through ``xp``, a padded channels-last
+    buffer of at least n images whose border is zero."""
+    n, h, w = xv.shape[:3]
+    ho, wo, k = col.shape[1], col.shape[2], col.shape[-1]
+    xs = xp[:n]
+    xs[:, pad : pad + h, pad : pad + w] = xv
+    for i in range(k):
+        for j in range(k):
+            col[..., i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
 
 
 def _col2im(dcol, x_shape, k, stride, pad, ho, wo, padded_shape):

@@ -293,6 +293,33 @@ class TestFoldCommand:
         assert code == 2
         assert "channel_sign" in err
 
+    @pytest.mark.parametrize("dataset,key,value,message", [
+        ("blobs32", "stride", 0, "stride"),
+        ("blobs32", "pad", -1, "pad"),
+        ("blobs28", "stride", 5, "does not tile a 1x28x28 input"),
+    ], ids=["stride-0", "pad-minus-1", "stride-5-at-28-pixels"])
+    def test_bad_folded_geometry_is_exit_two(self, tmp_path, capsys, dataset, key, value,
+                                             message):
+        from qsat import deployment as dep
+        from qsat.training import build_model_from_config, parse_config_file
+
+        q_cfg = tmp_path / "q8.cfg"
+        q_cfg.write_text(TINY.format(bits="8", act_bits="8").replace("blobs32", dataset))
+        shape = (1, 28, 28) if dataset == "blobs28" else (3, 32, 32)
+        model = build_model_from_config(parse_config_file(q_cfg), shape, 10)
+        dep.save_checkpoint(model, tmp_path / "q8.ckpt")
+        code, summary, _ = run_cli(capsys, "fold", "--config", str(q_cfg),
+                                   "--init", str(tmp_path / "q8.ckpt"),
+                                   "--out", str(tmp_path / "folded"))
+        assert code == 0
+        ckpt = dep.load_checkpoint(summary["out"])
+        ckpt.manifest["meta"]["layers"][0][key] = value
+        dep._write_container(summary["out"], ckpt.manifest,
+                             [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]])
+        code, _, err = run_cli(capsys, "eval", "--config", str(q_cfg), "--init", summary["out"])
+        assert code == 2
+        assert "checkpoint error" in err and message in err
+
     def test_fold_preresnet_is_exit_five(self, tmp_path, capsys):
         cfg_path = tmp_path / "pre.cfg"
         cfg_path.write_text(

@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qsat import deployment as dep
+from qsat import tensor
 from qsat.data import make_blobs
 from qsat.network import build_preset
 from qsat.quant import PactBackward, RescaleMode
@@ -283,6 +284,25 @@ class TestIntegerForward:
         with pytest.raises(ValueError, match="grid range"):
             folded.forward_int(np.full((1, 3, 32, 32), 300.0))
 
+    def test_nan_pixel_rejected(self):
+        folded = dep.fold_bn(trained_quant_model(seed=20, steps=1))
+        images = np.zeros((2, 3, 32, 32))
+        images[1, 2, 3, 4] = np.nan
+        with pytest.raises(ValueError, match="grid range"):
+            folded.forward_int(images)
+
+    def test_float_path_ranges_change_no_bit(self, monkeypatch):
+        # grid weights times integer activations sum exactly in float64, so
+        # neither the ranges nor the kernel BLAS picks for a GEMM of a few
+        # rows (block6's last range holds 3 of the 21 images) moves a bit
+        folded = dep.fold_bn(trained_quant_model(seed=25, steps=3))
+        rng = np.random.default_rng(250)
+        images = rng.integers(0, 256, size=(21, 3, 32, 32)).astype(np.float32)
+        ranged = folded.forward_float(images, return_margin=True)
+        monkeypatch.setattr(tensor, "_LOWERING_CHUNK_BYTES", 2**40)
+        whole = folded.forward_float(images, return_margin=True)
+        assert all(np.array_equal(a, b) for a, b in zip(ranged, whole))
+
 
 class TestFoldedContainer:
     def test_folded_round_trip(self, tmp_path):
@@ -361,6 +381,37 @@ class TestFoldedValidation:
     def test_in_levels_breaks_the_chain(self, tmp_path, folded):
         folded.layers[3].in_levels += 1
         self.rejected(tmp_path, folded, "in_levels")
+
+    @pytest.mark.parametrize("layer,key,value", [(1, "stride", 0), (1, "pad", -1),
+                                                 (5, "pool_k", 0)])
+    def test_geometry_out_of_range(self, tmp_path, folded, layer, key, value):
+        self.rejected(tmp_path, folded, key,
+                      lambda m: m["meta"]["layers"][layer].__setitem__(key, value))
+
+    def test_non_square_kernel(self, tmp_path, folded):
+        folded.layers[2].weight_idx = folded.layers[2].weight_idx[..., :2]
+        self.rejected(tmp_path, folded, "square")
+
+    def test_input_channels_break_the_chain(self, tmp_path, folded):
+        folded.layers[2].weight_idx = folded.layers[2].weight_idx[:, 1:]
+        self.rejected(tmp_path, folded, "input channels")
+
+    @pytest.mark.parametrize("field,value", [("clip", -1.0), ("requant", np.nan),
+                                             ("requant", -0.5), ("offset", np.inf)])
+    def test_epilogue_value_out_of_range(self, tmp_path, folded, field, value):
+        getattr(folded.layers[1], field)[3] = value
+        self.rejected(tmp_path, folded, "clip or requant is negative, or a value")
+
+    def test_check_input_walks_the_geometry(self, folded):
+        folded.check_input((3, 32, 32))
+        # 28 pixels reach 7 before the third pool; 30 reach 15 before the
+        # second; one channel is not the three the first kernel takes
+        for shape in ((3, 28, 28), (3, 30, 30), (1, 32, 32)):
+            with pytest.raises(dep.CheckpointError, match="does not tile"):
+                folded.check_input(shape)
+        folded.fc_weight = folded.fc_weight[1:]
+        with pytest.raises(dep.CheckpointError, match="fc_weight"):
+            folded.check_input((3, 32, 32))
 
 
 # -- exact integer GEMMs ---------------------------------------------------------
@@ -441,21 +492,44 @@ LAYER_SPEC = st.fixed_dictionaries({
 WIDE = {"k": 3, "stride": 1, "pad": 1, "pool": 1, "co": 3, "levels": 255, "out_levels": 2**24}
 
 
+def float32_image_bytes(folded, side):
+    """Bytes of one image's float32 patch rows, layer by layer."""
+    sizes = []
+    for layer in folded.layers:
+        _, ci, k, _ = layer.weight_idx.shape
+        out = (side + 2 * layer.pad - k) // layer.stride + 1
+        sizes.append(out * out * ci * k * k * 4)
+        side = out // layer.pool_k
+    return sizes
+
+
 class TestExactIntegerGemm:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), in_levels=st.integers(1, 2**16),
-           specs=st.lists(LAYER_SPEC, min_size=1, max_size=2), size=st.integers(1, 3))
-    @example(seed=1, in_levels=2**16, specs=[WIDE], size=3)  # bound past 2^24: float64
-    @example(seed=2, in_levels=255, specs=[dict(WIDE, out_levels=255)] * 2, size=2)  # float32
-    def test_forward_int_equals_int64_oracle(self, seed, in_levels, specs, size):
+           specs=st.lists(LAYER_SPEC, min_size=1, max_size=2), size=st.integers(1, 3),
+           batch=st.integers(1, 9), per_range=st.integers(1, 3))
+    @example(seed=1, in_levels=2**16, specs=[WIDE], size=3, batch=7,
+             per_range=3)  # bound past 2^24: float64
+    @example(seed=2, in_levels=255, specs=[dict(WIDE, out_levels=255)] * 2, size=2, batch=5,
+             per_range=2)  # float32
+    # pooled sums up to 2^25 feed the second layer, so they are float64
+    @example(seed=10, in_levels=255, specs=[dict(WIDE, pool=2, out_levels=2**23), WIDE], size=2,
+             batch=8, per_range=3)
+    def test_forward_int_equals_int64_oracle(self, seed, in_levels, specs, size, batch,
+                                             per_range):
         rng = np.random.default_rng(seed)
         built = random_folded(rng, in_levels, specs, size)
         assume(built is not None)
         folded, side = built
         ci = folded.layers[0].weight_idx.shape[1]
-        images = rng.integers(0, in_levels + 1, size=(2, ci, side, side)).astype(float)
+        images = rng.integers(0, in_levels + 1, size=(batch, ci, side, side)).astype(float)
         want = int64_forward(folded, images)
-        got = folded.forward_int(images)
+        # ranges of 1 to per_range images: exactly per_range in the layer with
+        # the fewest bytes per image, when it runs in float32
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "_LOWERING_CHUNK_BYTES",
+                       per_range * min(float32_image_bytes(folded, side)))
+            got = folded.forward_int(images)
         assert np.array_equal(got, want.astype(np.float64))
 
     def test_sums_past_float32_stay_exact(self):

@@ -203,6 +203,11 @@ class TestDatasets:
         npt.assert_array_equal(a_train.images, b_train.images)
         npt.assert_array_equal(a_val.labels, b_val.labels)
 
+    @pytest.mark.parametrize("name,shape", [("blobs32", (3, 32, 32)), ("blobs28", (1, 28, 28))])
+    def test_blobs_presets_load(self, name, shape):
+        train, val = load_dataset(name, seed=6, train_size=20, val_size=10)
+        assert train.image_shape == val.image_shape == shape
+
     def test_blobs_range_and_balance(self):
         train, _ = make_blobs(n_train=200, n_val=20, seed=6)
         assert train.images.min() >= 0.0 and train.images.max() <= 255.0
@@ -213,6 +218,12 @@ class TestDatasets:
     def test_batch_range_validation(self):
         with pytest.raises(DatasetError):
             Batch(np.full((1, 1, 2, 2), 300.0), np.zeros(1, dtype=np.int64))
+
+    def test_batch_nan_pixel_rejected(self):
+        images = np.zeros((1, 1, 2, 2))
+        images[0, 0, 1, 0] = np.nan
+        with pytest.raises(DatasetError):
+            Batch(images, np.zeros(1, dtype=np.int64))
 
     def test_mnist_idx_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -1,7 +1,12 @@
 """Print the sha256 of every file that ``qsat train`` writes for the three
 ``perfbench/configs`` runs, of the file ``qsat fold`` writes for the 4-bit
-run, and of what ``qsat diagnose`` prints for each run, so two checkouts can
-be compared by a diff.
+run, of what ``qsat diagnose`` prints for each run, and of the folded
+model's ``forward_int`` logits and ``forward_float`` logits and margins, so
+two checkouts can be compared by a diff.
+
+The folded outputs cover the 640-image validation pool of the 4-bit run's
+dataset (its seed, 10 training images), in batches of its batch size, the
+pool and batches ``perfbench`` runs ``infer-fold-q4`` on.
 
     python3 tools/train_digests.py [CHECKOUT] > digests.txt
 
@@ -26,6 +31,29 @@ RUNS = (
     ("raw", "raw_preresnet.cfg", None),
 )
 FOLDED_RUN = "q4"
+POOL_IMAGES = 640
+
+# run with the checkout's src on the path; argv: config, folded file, output
+# directory, pool size
+FOLDED_OUTPUTS = """
+import sys
+from pathlib import Path
+import numpy as np
+from qsat import data, deployment, training
+cfg = training.parse_config_file(sys.argv[1])
+_, pool = data.load_dataset(cfg.dataset, path=cfg.dataset_path, seed=cfg.seed,
+                            train_size=10, val_size=int(sys.argv[4]))
+folded = deployment.load_folded(sys.argv[2])
+outputs = {"forward_int_logits": [], "forward_float_logits": [], "forward_float_margins": []}
+for start in range(0, len(pool), cfg.batch_size):
+    images = pool.images[start : start + cfg.batch_size]
+    outputs["forward_int_logits"].append(folded.forward_int(images))
+    logits, margins = folded.forward_float(images, return_margin=True)
+    outputs["forward_float_logits"].append(logits)
+    outputs["forward_float_margins"].append(margins)
+for name, parts in outputs.items():
+    Path(sys.argv[3], name + ".f8").write_bytes(np.concatenate(parts).astype("<f8").tobytes())
+"""
 
 
 def main() -> int:
@@ -51,6 +79,12 @@ def main() -> int:
             if name == FOLDED_RUN:
                 qsat("fold", cfg, "--init", checkpoint(name),
                      "--out", os.path.join(tmp, "fold"), "--force")
+                outputs = Path(tmp, "folded_outputs")
+                outputs.mkdir()
+                subprocess.run([sys.executable, "-c", FOLDED_OUTPUTS,
+                                str(root / "perfbench" / "configs" / cfg),
+                                os.path.join(tmp, "fold", "folded.ckpt"), str(outputs),
+                                str(POOL_IMAGES)], env=env, cwd=tmp, check=True)
             # exit 1 only reports WARN/FAIL verdicts; anything else is an error
             done = qsat("diagnose", cfg, "--init", checkpoint(name), check=False)
             if done.returncode not in (0, 1):
