@@ -105,12 +105,12 @@ def _build_with_checkpoint(args):
     from .data import load_dataset
 
     cfg = _load_config(args)
-    train_set, _ = load_dataset(
+    train_set, val_set = load_dataset(
         cfg.dataset, path=cfg.dataset_path, seed=cfg.seed,
         train_size=cfg.train_size, val_size=cfg.val_size,
     )
     model = training.build_model_from_config(
-        cfg, train_set.image_shape, max(train_set.num_classes, 2)
+        cfg, train_set.image_shape, training.class_count(train_set, val_set)
     )
     if args.init:
         deployment.load_model_checkpoint(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .tensor import ShapeError, _conv_extent, _images_per_chunk, _lower_range, no_grad
 from .quant import PactState, RescaleMode, dorefa_clamp, rescale_scalar
-from .network import BatchNorm2d, ConvNet, Pool
+from .network import BatchNorm2d, Pool
 
 __all__ = [
     "CheckpointError",
@@ -34,6 +34,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_model_checkpoint",
+    "load_model_state",
     "FoldedLayer",
     "FoldedModel",
     "fold_bn",
@@ -180,6 +181,15 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(manifest, tensors)
 
 
+def load_model_state(model, tensors: dict[str, np.ndarray]) -> None:
+    """``model.load_state``, reporting tensors that do not fit the model (a
+    missing name or another shape) as ``CheckpointError``."""
+    try:
+        model.load_state(tensors)
+    except (KeyError, ShapeError) as exc:
+        raise CheckpointError(exc.args[0]) from exc
+
+
 def load_model_checkpoint(path, model, expect_hash: str | None = None) -> Checkpoint:
     """Load tensors into an already-built model.
 
@@ -196,7 +206,7 @@ def load_model_checkpoint(path, model, expect_hash: str | None = None) -> Checkp
             "checkpoint %s was written under a different config (hash %s vs %s)",
             path, ckpt.config_hash, expect_hash,
         )
-    model.load_state(ckpt.tensors)
+    load_model_state(model, ckpt.tensors)
     return ckpt
 
 
@@ -432,14 +442,12 @@ def fold_bn(model) -> FoldedModel:
     """
     if isinstance(model, FoldedModel):
         raise FoldError("model is already folded")
-    if getattr(model, "residual", False):
+    if model.residual:
         raise FoldError(
             f"preset '{model.preset}' contains skip connections; batch-norm "
             "elimination applies only to plain chains (offending connection: "
             "residual add)"
         )
-    if not isinstance(model, ConvNet):
-        raise FoldError(f"cannot fold model of type {type(model).__name__}")
 
     layers = []
     in_scale = 1.0
@@ -454,7 +462,7 @@ def fold_bn(model) -> FoldedModel:
                 "absorb the normalization into"
             )
         idx, w_levels, factor = _weight_grid_indices(conv)
-        co = conv.out_channels
+        co = len(idx)
         if bn is not None:
             sigma = np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
             gamma_abs = bn.gamma.data.astype(np.float64) / sigma
@@ -478,14 +486,7 @@ def fold_bn(model) -> FoldedModel:
         clip = alpha_out / (gamma_eff * in_scale)
         requant = (a_out / alpha_out) * gamma_eff * in_scale / w_levels
 
-        pool_k = 1
-        if pool is not None:
-            if pool.kind != "avg":
-                raise FoldError(
-                    f"layer '{conv.name}': only average pooling folds into the "
-                    "integer grid"
-                )
-            pool_k = pool.k
+        pool_k = 1 if pool is None else pool.k
         layer = FoldedLayer(
             name=conv.name,
             weight_idx=idx,
@@ -521,9 +522,19 @@ def fold_bn(model) -> FoldedModel:
 
 # -- folded-model container ---------------------------------------------------
 
+def _meta_int(value) -> int:
+    """An integer meta field, below 2^53 in magnitude so that float64
+    arithmetic on it stays exact and in range."""
+    value = int(value)
+    if abs(value) >= _ACC_LIMIT:
+        raise ValueError("integer at or past 2^53")
+    return value
+
+
 # per-layer scalars of the manifest's meta, with their types
-_LAYER_META = {"weight_levels": int, "stride": int, "pad": int, "in_scale": float,
-               "in_levels": int, "out_alpha": float, "out_levels": int, "pool_k": int}
+_LAYER_META = {"weight_levels": _meta_int, "stride": _meta_int, "pad": _meta_int,
+               "in_scale": float, "in_levels": _meta_int, "out_alpha": float,
+               "out_levels": _meta_int, "pool_k": _meta_int}
 # per-layer payload tensors: role, FoldedLayer field
 _LAYER_TENSORS = (("int_weight", "weight_idx"), ("offset", "offset"),
                   ("clip", "clip"), ("scale", "requant"))

@@ -92,9 +92,7 @@ def kappa2(stats_l: LayerStats, stats_l1: LayerStats) -> float:
 class DiagnosticsRecord:
     """Per-step, per-layer snapshot row.
 
-    ``k_pool`` is the pool kernel of the layer's own block as built (max
-    pools keep their true kernel here even though the kappa computation
-    counts them as 1, so either convention can be recomputed offline).
+    ``k_pool`` is the pool kernel of the layer's own block as built.
     """
 
     step: int
@@ -119,7 +117,7 @@ def _layer_stats(info) -> LayerStats:
     return LayerStats(
         n_in=info.layer.n_in,
         n_hat=info.layer.n_hat,
-        k_pool=info.kappa_k,
+        k_pool=info.k_pool,
         var_weight=mean_square_value(eff.data),
         var_grad=None if eff.grad is None else mean_square_value(eff.grad),
     )

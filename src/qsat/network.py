@@ -1,5 +1,8 @@
-"""Layer and block composition: linear -> batch norm -> activation -> pool,
-quantized-layer wrappers, and the model presets used throughout.
+"""Quantized-layer wrappers, the layer table that composes them, the one
+forward that runs it, and the model presets used throughout.
+
+Each preset is one table: a ``LayerRecord`` per linear layer, holding it
+with its BN, activation, pools and residual ends in forward order.
 
 Presets:
 
@@ -27,7 +30,6 @@ from .tensor import (
     avg_pool2d,
     conv2d,
     matmul,
-    max_pool2d,
     relu,
     _record,
 )
@@ -44,11 +46,13 @@ __all__ = [
     "BatchNorm2d",
     "Conv2dLayer",
     "DenseLayer",
-    "Block",
+    "Pool",
     "LinearInfo",
     "LayerRecord",
-    "ConvNet",
-    "PreResNetToy",
+    "SKIP_KEEP",
+    "SKIP_ADD",
+    "run_table",
+    "Model",
     "PRESETS",
     "build_preset",
     "linear_layer_count",
@@ -177,67 +181,61 @@ class BatchNorm2d:
         return _record("batch_norm2d_eval", out, (x, gamma, beta), backward)
 
 
-class Conv2dLayer:
-    """Convolution whose weight passes through the quantizer pipeline.
+class _WeightLayer:
+    """A bias-free linear layer's weight and quantizer pipeline, shared by
+    the conv and dense layers.
 
     ``scheme is None`` uses the raw weight directly (vanilla mode).  The
-    effective weight of the most recent forward is kept so its value and
-    gradient statistics can be sampled after backward.
+    weight starts at N(0, 1/n_hat).  The effective weight of the most
+    recent forward is kept so its value and gradient statistics can be
+    sampled after backward.
     """
+
+    follows_bn = False
+
+    def __init__(self, name: str, shape: tuple, n_in: int, n_hat: int,
+                 scheme: QuantScheme | None, rng: np.random.Generator | None, dtype):
+        self.name = name
+        self.scheme = scheme
+        self.n_in = n_in
+        self.n_hat = n_hat
+        rng = rng or np.random.default_rng(0)
+        init = rng.normal(0.0, 1.0 / np.sqrt(n_hat), size=shape)
+        self.w = Tensor(init.astype(dtype), requires_grad=True)
+        self.last_effective: Tensor | None = None
+
+    def effective(self) -> Tensor:
+        eff = self.w if self.scheme is None else effective_weight(self.w, self.scheme)
+        self.last_effective = eff
+        return eff
+
+
+class Conv2dLayer(_WeightLayer):
+    """Convolution whose weight passes through the quantizer pipeline."""
 
     def __init__(self, name: str, in_channels: int, out_channels: int,
                  kernel: int, stride: int = 1, pad: int = 0,
                  scheme: QuantScheme | None = None, follows_bn: bool = False,
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        self.name = name
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
+        super().__init__(name, (out_channels, in_channels, kernel, kernel),
+                         in_channels * kernel * kernel, out_channels * kernel * kernel,
+                         scheme, rng, dtype)
         self.stride = stride
         self.pad = pad
-        self.scheme = scheme
         self.follows_bn = follows_bn
-        self.n_in = in_channels * kernel * kernel
-        self.n_hat = out_channels * kernel * kernel
-        rng = rng or np.random.default_rng(0)
-        std = 1.0 / np.sqrt(self.n_hat)
-        init = rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel))
-        self.w = Tensor(init.astype(dtype), requires_grad=True)
-        self.last_effective: Tensor | None = None
-
-    def effective(self) -> Tensor:
-        eff = self.w if self.scheme is None else effective_weight(self.w, self.scheme)
-        self.last_effective = eff
-        return eff
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.effective(), stride=self.stride, pad=self.pad)
 
 
-class DenseLayer:
-    """Fully-connected layer (no bias) with the same quantizer pipeline."""
+class DenseLayer(_WeightLayer):
+    """Fully-connected layer with the same quantizer pipeline."""
 
     def __init__(self, name: str, in_features: int, out_features: int,
                  scheme: QuantScheme | None = None,
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        self.name = name
-        self.in_features = in_features
-        self.out_features = out_features
-        self.scheme = scheme
-        self.follows_bn = False
-        self.kernel = 1
-        self.n_in = in_features
-        self.n_hat = out_features
-        rng = rng or np.random.default_rng(0)
-        std = 1.0 / np.sqrt(self.n_hat)
-        init = rng.normal(0.0, std, size=(in_features, out_features))
-        self.w = Tensor(init.astype(dtype), requires_grad=True)
-        self.last_effective: Tensor | None = None
-
-    def effective(self) -> Tensor:
-        eff = self.w if self.scheme is None else effective_weight(self.w, self.scheme)
-        self.last_effective = eff
-        return eff
+        super().__init__(name, (in_features, out_features), in_features, out_features,
+                         scheme, rng, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.effective())
@@ -245,44 +243,12 @@ class DenseLayer:
 
 @dataclass
 class Pool:
-    kind: str  # "avg" | "max"
+    """Non-overlapping k x k average pooling."""
+
     k: int
 
     def __call__(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.k) if self.kind == "avg" else max_pool2d(x, self.k)
-
-    @property
-    def kappa_k(self) -> float:
-        # max pooling is excluded from the gradient-flow accounting
-        return 1.0 if self.kind == "max" else float(self.k)
-
-
-def _activate(h: Tensor, pact: PactState | None) -> Tensor:
-    """ReLU, or PACT alone: its clip at zero already is the ReLU, in value
-    and in gradient, so the ReLU in front of it would change no bit."""
-    return relu(h) if pact is None else pact_quantize(h, pact)
-
-
-class Block:
-    """linear -> optional BN -> ReLU or PACT -> optional pool."""
-
-    def __init__(self, conv: Conv2dLayer, bn: BatchNorm2d | None,
-                 act: bool, pact: PactState | None, pool: Pool | None):
-        self.conv = conv
-        self.bn = bn
-        self.act = act
-        self.pact = pact
-        self.pool = pool
-
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        h = self.conv(x)
-        if self.bn is not None:
-            h = self.bn(h, training)
-        if self.act or self.pact is not None:
-            h = _activate(h, self.pact)
-        if self.pool is not None:
-            h = self.pool(h)
-        return h
+        return avg_pool2d(x, self.k)
 
 
 @dataclass
@@ -293,17 +259,23 @@ class LinearInfo:
     name: str
     layer: Conv2dLayer | DenseLayer
     k_pool: float          # pool kernel of this layer's own block (1 if none)
-    kappa_k: float         # same, with max pools counted as 1
     pact: PactState | None
     skip_boundary: bool    # output feeds a residual add
     preceding_pool_k: float = 1.0  # pool kernel directly before this layer
 
 
+# the two ends of a residual connection in a layer record: the forward
+# keeps its activation at SKIP_KEEP and adds it back at SKIP_ADD
+SKIP_KEEP = "skip-keep"
+SKIP_ADD = "skip-add"
+
+
 @dataclass
 class LayerRecord:
-    """One linear layer and the BN, PACT and pool wired to it, in forward
-    order, each under the prefix of its checkpoint names (a pool has no
-    tensors and an empty prefix).
+    """One linear layer and the BN, activation, pools and residual ends
+    wired to it, in forward order, each under the prefix of its checkpoint
+    names.  Entries with no tensors (a pool, a ReLU, ``SKIP_KEEP`` and
+    ``SKIP_ADD``) have an empty prefix.
 
     A pool after the layer is its own block's pool; a pool before it feeds
     it.  ``None`` modules are dropped, so a preset can list optional ones.
@@ -324,6 +296,32 @@ class LayerRecord:
         return next((m for _, m in self.modules if isinstance(m, kind)), None)
 
 
+def run_table(records: list[LayerRecord], x: Tensor, training: bool) -> Tensor:
+    """The forward of a run of layer records: every module in order.
+
+    BN normalizes with batch statistics when ``training``; PACT runs
+    through ``pact_quantize``; the dense layer takes its input flattened
+    per sample; ``SKIP_ADD`` adds the activation kept at ``SKIP_KEEP`` to
+    the branch's output.
+    """
+    h, skip = x, None
+    for record in records:
+        for _, m in record.modules:
+            if isinstance(m, BatchNorm2d):
+                h = m(h, training)
+            elif isinstance(m, PactState):
+                h = pact_quantize(h, m)
+            elif isinstance(m, DenseLayer):
+                h = m(h.reshape((h.shape[0], -1)))
+            elif m is SKIP_KEEP:
+                skip = h
+            elif m is SKIP_ADD:
+                h = skip + h
+            else:  # a conv, a pool or a ReLU
+                h = m(h)
+    return h
+
+
 def _module_state(prefix: str, module) -> list[tuple[str, str, object]]:
     """(name, role, owner) triples of one module's checkpoint tensors."""
     if isinstance(module, BatchNorm2d):
@@ -336,16 +334,21 @@ def _module_state(prefix: str, module) -> list[tuple[str, str, object]]:
     return [(f"{prefix}.weight", "weight", module.w)]
 
 
-class _ModelBase:
-    """A model's forward structure plus ``layer_table``, the ordered
-    ``LayerRecord`` list its parameter, diagnostics and checkpoint lists
-    are derived from."""
-
-    residual: bool = False
+class Model:
+    """A preset's ``layer_table``: the ordered ``LayerRecord`` list its
+    forward runs and its parameter, diagnostics and checkpoint lists are
+    derived from."""
 
     def __init__(self, layer_table: list[LayerRecord], preset: str):
         self.layer_table = layer_table
         self.preset = preset
+
+    @property
+    def residual(self) -> bool:
+        return any(m is SKIP_ADD for record in self.layer_table for _, m in record.modules)
+
+    def forward(self, x: Tensor, training: bool = False) -> Tensor:
+        return run_table(self.layer_table, x, training)
 
     def _named_modules(self) -> list[tuple[str, object]]:
         return [(prefix, m) for record in self.layer_table
@@ -358,24 +361,24 @@ class _ModelBase:
 
     def linear_infos(self) -> list[LinearInfo]:
         """One row per record.  A pool before the layer sets its
-        ``preceding_pool_k``; a pool after it sets its ``k_pool`` and
-        ``kappa_k`` and the next layer's ``preceding_pool_k``."""
+        ``preceding_pool_k``; a pool after it sets its ``k_pool`` and the
+        next layer's ``preceding_pool_k``."""
         infos = []
         preceding = 1.0
         for index, record in enumerate(self.layer_table):
             info = None
             for _, module in record.modules:
                 if isinstance(module, Pool) and info is None:
-                    preceding = module.kappa_k
+                    preceding = float(module.k)
                 elif isinstance(module, Pool):
-                    info.k_pool, info.kappa_k = float(module.k), module.kappa_k
+                    info.k_pool = float(module.k)
                 elif module is record.layer:
-                    info = LinearInfo(index, module.name, module, k_pool=1.0, kappa_k=1.0,
+                    info = LinearInfo(index, module.name, module, k_pool=1.0,
                                       pact=record.find(PactState),
                                       skip_boundary=record.skip_boundary,
                                       preceding_pool_k=preceding)
             infos.append(info)
-            preceding = info.kappa_k
+            preceding = info.k_pool
         return infos
 
     def named_state(self) -> list[tuple[str, str, object]]:
@@ -445,75 +448,6 @@ class _ModelBase:
         return [m for _, m in self._named_modules() if isinstance(m, PactState)]
 
 
-class ConvNet(_ModelBase):
-    """Sequential conv blocks plus a final fully-connected head."""
-
-    def __init__(self, blocks: list[Block], fc: DenseLayer,
-                 layer_table: list[LayerRecord], preset: str):
-        super().__init__(layer_table, preset)
-        self.blocks = blocks
-        self.fc = fc
-
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        h = x
-        for block in self.blocks:
-            h = block.forward(h, training)
-        n = h.shape[0]
-        h = h.reshape((n, int(np.prod(h.shape[1:]))))
-        return self.fc(h)
-
-
-class _PreActResBlock:
-    """BN -> ReLU -> conv -> BN -> ReLU -> conv, added to the identity."""
-
-    def __init__(self, name: str, bn1: BatchNorm2d, pact1: PactState | None,
-                 conv1: Conv2dLayer, bn2: BatchNorm2d, pact2: PactState | None,
-                 conv2: Conv2dLayer):
-        self.name = name
-        self.bn1 = bn1
-        self.pact1 = pact1
-        self.conv1 = conv1
-        self.bn2 = bn2
-        self.pact2 = pact2
-        self.conv2 = conv2
-
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        h = self.conv1(_activate(self.bn1(x, training), self.pact1))
-        h = self.conv2(_activate(self.bn2(h, training), self.pact2))
-        return x + h
-
-
-class PreResNetToy(_ModelBase):
-    """Small pre-activation residual network: the ETR II stressor."""
-
-    residual = True
-
-    def __init__(self, conv_in: Conv2dLayer, pool_in: Pool,
-                 res_blocks: list[_PreActResBlock], mid_pools: list[Pool | None],
-                 bn_out: BatchNorm2d, pact_out: PactState | None, pool_out: Pool,
-                 fc: DenseLayer, layer_table: list[LayerRecord], preset: str):
-        super().__init__(layer_table, preset)
-        self.conv_in = conv_in
-        self.pool_in = pool_in
-        self.res_blocks = res_blocks
-        self.mid_pools = mid_pools
-        self.bn_out = bn_out
-        self.pact_out = pact_out
-        self.pool_out = pool_out
-        self.fc = fc
-
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        h = self.pool_in(self.conv_in(x))
-        for block, pool in zip(self.res_blocks, self.mid_pools):
-            h = block.forward(h, training)
-            if pool is not None:
-                h = pool(h)
-        h = self.pool_out(_activate(self.bn_out(h, training), self.pact_out))
-        n = h.shape[0]
-        h = h.reshape((n, int(np.prod(h.shape[1:]))))
-        return self.fc(h)
-
-
 # -- preset construction --------------------------------------------------
 
 PRESETS = ("convnet-bn", "convnet-nobn-tail", "preresnet-toy")
@@ -554,7 +488,7 @@ def build_preset(
     layer_overrides: dict[int, dict] | None = None,
     seed: int = 0,
     dtype=np.float32,
-) -> _ModelBase:
+) -> Model:
     """Build one of the named presets, wiring quantization schemes in.
 
     Rescaling, when enabled, is applied to linear layers without a following
@@ -595,84 +529,65 @@ def build_preset(
             mode = rescale if (not follows_bn or idx == n_linear - 1) else RescaleMode.NONE
         return QuantScheme(bits=bits, rescale=mode, fan_out=fan_out)
 
-    def act_factory() -> PactState | None:
+    def activation(prefix: str) -> tuple[str, object]:
+        """PACT under ``prefix``, or a ReLU where activations stay full
+        precision: PACT's clip at zero already is the ReLU, in value and in
+        gradient."""
         if abits in ("raw", None):
-            return None
-        return PactState.create(abits, pact_mode, dtype=dtype)
+            return ("", relu)
+        return (prefix, PactState.create(abits, pact_mode, dtype=dtype))
+
+    table: list[LayerRecord] = []
+
+    def conv(layer_name: str, cin: int, cout: int, follows_bn: bool) -> Conv2dLayer:
+        return Conv2dLayer(layer_name, cin, cout, 3, pad=1,
+                           scheme=layer_scheme(len(table), cout * 9, follows_bn),
+                           follows_bn=follows_bn, rng=rng, dtype=dtype)
 
     if name.startswith("convnet"):
         pools = _POOL_PLANS[image_size]
-        blocks, table = [], []
         cin = in_channels
         for i, cout in enumerate(_CONVNET_CHANNELS):
             has_bn = not (name == "convnet-nobn-tail" and i == len(_CONVNET_CHANNELS) - 1)
-            conv = Conv2dLayer(
-                f"block{i + 1}", cin, cout, 3, pad=1,
-                scheme=layer_scheme(i, cout * 9, has_bn), follows_bn=has_bn,
-                rng=rng, dtype=dtype,
-            )
-            pool = Pool("avg", pools[i]) if i in pools else None
-            block = Block(conv, BatchNorm2d(cout, dtype=dtype) if has_bn else None,
-                          act=True, pact=act_factory(), pool=pool)
-            blocks.append(block)
-            table.append(LayerRecord([(conv.name, conv), (f"{conv.name}.bn", block.bn),
-                                      (f"{conv.name}.pact", block.pact), ("", pool)],
-                                     skip_boundary=False))
+            layer = conv(f"block{i + 1}", cin, cout, has_bn)
+            table.append(LayerRecord([
+                (layer.name, layer),
+                (f"{layer.name}.bn", BatchNorm2d(cout, dtype=dtype) if has_bn else None),
+                activation(f"{layer.name}.pact"),
+                ("", Pool(pools[i]) if i in pools else None),
+            ], skip_boundary=False))
             cin = cout
-        fc = DenseLayer("fc", cin, classes,
-                        scheme=layer_scheme(len(blocks), classes, False),
-                        rng=rng, dtype=dtype)
-        table.append(LayerRecord([(fc.name, fc)], skip_boundary=False))
-        model = ConvNet(blocks, fc, table, name)
+        tail = []
     else:
-        width = 16
-        conv_in = Conv2dLayer(
-            "stem", in_channels, width, 3, pad=1,
-            scheme=layer_scheme(0, width * 9, False), follows_bn=False,
-            rng=rng, dtype=dtype,
-        )
-        pool_in = Pool("avg", 2)
-        table = [LayerRecord([(conv_in.name, conv_in), ("", pool_in)], skip_boundary=True)]
-        res_blocks = []
-        mid_pools = [Pool("avg", 2), None]
-        idx = 1
-        for bi, pool in enumerate(mid_pools):
-            b = f"res{bi + 1}"
-            conv1 = Conv2dLayer(
-                f"{b}.conv1", width, width, 3, pad=1,
-                scheme=layer_scheme(idx, width * 9, True), follows_bn=True,
-                rng=rng, dtype=dtype,
-            )
-            conv2 = Conv2dLayer(
-                f"{b}.conv2", width, width, 3, pad=1,
-                scheme=layer_scheme(idx + 1, width * 9, False), follows_bn=False,
-                rng=rng, dtype=dtype,
-            )
-            block = _PreActResBlock(
-                b, BatchNorm2d(width, dtype=dtype), act_factory(),
-                conv1, BatchNorm2d(width, dtype=dtype), act_factory(), conv2,
-            )
-            res_blocks.append(block)
-            table.append(LayerRecord([(f"{b}.bn1", block.bn1), (f"{b}.pact1", block.pact1),
-                                      (conv1.name, conv1)], skip_boundary=False))
-            table.append(LayerRecord([(f"{b}.bn2", block.bn2), (f"{b}.pact2", block.pact2),
-                                      (conv2.name, conv2), ("", pool)], skip_boundary=True))
-            idx += 2
-        bn_out, pact_out = BatchNorm2d(width, dtype=dtype), act_factory()
-        pool_out = Pool("avg", image_size // 4)
-        fc = DenseLayer("fc", width, classes,
-                        scheme=layer_scheme(idx, classes, False), rng=rng, dtype=dtype)
-        table.append(LayerRecord([("tail.bn", bn_out), ("tail.pact", pact_out),
-                                  ("", pool_out), (fc.name, fc)], skip_boundary=False))
-        model = PreResNetToy(conv_in, pool_in, res_blocks, mid_pools, bn_out, pact_out,
-                             pool_out, fc, table, name)
+        # pre-activation residual blocks: BN -> activation -> conv, twice,
+        # added to the block's input
+        cin = 16  # every layer's width
+        stem = conv("stem", in_channels, cin, False)
+        table.append(LayerRecord([(stem.name, stem), ("", Pool(2))], skip_boundary=True))
+        for b, pool in (("res1", Pool(2)), ("res2", None)):
+            conv1 = conv(f"{b}.conv1", cin, cin, True)
+            table.append(LayerRecord([
+                ("", SKIP_KEEP), (f"{b}.bn1", BatchNorm2d(cin, dtype=dtype)),
+                activation(f"{b}.pact1"), (conv1.name, conv1),
+            ], skip_boundary=False))
+            conv2 = conv(f"{b}.conv2", cin, cin, False)
+            table.append(LayerRecord([
+                (f"{b}.bn2", BatchNorm2d(cin, dtype=dtype)), activation(f"{b}.pact2"),
+                (conv2.name, conv2), ("", SKIP_ADD), ("", pool),
+            ], skip_boundary=True))
+        tail = [("tail.bn", BatchNorm2d(cin, dtype=dtype)), activation("tail.pact"),
+                ("", Pool(image_size // 4))]
+    fc = DenseLayer("fc", cin, classes, scheme=layer_scheme(len(table), classes, False),
+                    rng=rng, dtype=dtype)
+    table.append(LayerRecord([*tail, (fc.name, fc)], skip_boundary=False))
+    model = Model(table, name)
 
     for msg in validate_model(model):
         log.warning("%s: %s", name, msg)
     return model
 
 
-def validate_model(model: _ModelBase) -> list[str]:
+def validate_model(model: Model) -> list[str]:
     """Check structural rules; returns human-readable violation strings.
 
     Violations are advisory (training proceeds) so deliberately broken

@@ -40,7 +40,6 @@ __all__ = [
     "matmul",
     "conv2d",
     "avg_pool2d",
-    "max_pool2d",
     "relu",
     "tanh",
     "sqrt",
@@ -565,27 +564,6 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
         return (gx.reshape(n, h, w, c).transpose(0, 3, 1, 2),)
 
     return _record("avg_pool2d", out, (x,), backward)
-
-
-def max_pool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping kxk max pooling; ties route to the first maximum."""
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d expects a 4-D input, got {x.shape}")
-    n, c, h, w = x.shape
-    if h % k or w % k:
-        raise ShapeError(f"max_pool2d: spatial dims {h}x{w} not divisible by {k}")
-    win = x.data.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-    flat = np.ascontiguousarray(win).reshape(n, c, h // k, w // k, k * k)
-    idx = flat.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0])
-
-    def backward(g):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
-        gx = gflat.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-        return (np.ascontiguousarray(gx).reshape(x.shape),)
-
-    return _record("max_pool2d", out, (x,), backward)
 
 
 # -- custom backward registration ---------------------------------------

@@ -22,6 +22,7 @@ from .tensor import DomainError, Tensor, _record, no_grad
 from .quant import PactBackward, RescaleMode
 from .network import build_preset, linear_layer_count, PRESETS
 from .data import ArrayDataset, Batch, DatasetError, load_dataset
+from .deployment import load_model_state
 from . import diagnostics
 
 __all__ = [
@@ -212,6 +213,12 @@ def config_hash(cfg: TrainConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def class_count(train_set: ArrayDataset, val_set: ArrayDataset) -> int:
+    """The classifier's width: every label of either split, and at least
+    the two cross-entropy needs."""
+    return max(train_set.num_classes, val_set.num_classes, 2)
+
+
 def build_model_from_config(cfg: TrainConfig, image_shape, classes: int):
     channels, size, _ = image_shape
     first_last = cfg.first_last_bits
@@ -381,10 +388,9 @@ def train(
     )
     if len(train_set) == 0 or len(val_set) == 0:
         raise DatasetError("empty dataset")
-    classes = max(train_set.num_classes, val_set.num_classes)
-    model = build_model_from_config(cfg, train_set.image_shape, classes)
+    model = build_model_from_config(cfg, train_set.image_shape, class_count(train_set, val_set))
     if init_state is not None:
-        model.load_state(init_state)
+        load_model_state(model, init_state)
 
     flip_augment = train_set.image_shape[-1] == 32
     data_rng = np.random.default_rng([cfg.seed, 0xDA7A])

@@ -183,7 +183,8 @@ class TestDiagnoseCommand:
         from qsat.training import parse_config_file, build_model_from_config
         cfg = parse_config_file(cfg_path)
         model = build_model_from_config(cfg, (3, 32, 32), 10)
-        model.fc.w.data = model.fc.w.data * 3.0
+        fc = model.layer_table[-1].layer
+        fc.w.data = fc.w.data * 3.0
         save_checkpoint(model, tmp_path / "clamp.ckpt")
         code, summary, _ = run_cli(capsys, "diagnose", "--config", str(cfg_path),
                                    "--init", str(tmp_path / "clamp.ckpt"))
@@ -336,6 +337,93 @@ class TestFoldCommand:
                                "--out", str(tmp_path / "f"))
         assert code == 5
         assert "skip" in err
+
+
+    @pytest.mark.parametrize("layer, key", [(0, "weight_levels"), (-1, "out_levels"),
+                                            (0, "in_levels")])
+    def test_integer_meta_past_float_range_is_exit_two(self, tmp_path, tiny_config, capsys,
+                                                       layer, key):
+        from qsat import deployment as dep
+        from qsat.training import build_model_from_config, parse_config_file
+
+        q_cfg = tiny_config("q8.cfg", bits="8", act_bits="8")
+        model = build_model_from_config(parse_config_file(q_cfg), (3, 32, 32), 10)
+        dep.save_checkpoint(model, tmp_path / "q8.ckpt")
+        _, summary, _ = run_cli(capsys, "fold", "--config", q_cfg,
+                                "--init", str(tmp_path / "q8.ckpt"),
+                                "--out", str(tmp_path / "folded"))
+        ckpt = dep.load_checkpoint(summary["out"])
+        ckpt.manifest["meta"]["layers"][layer][key] = 10**400
+        dep._write_container(summary["out"], ckpt.manifest,
+                             [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]])
+        code, _, err = run_cli(capsys, "eval", "--config", q_cfg, "--init", summary["out"])
+        assert code == 2
+        assert "checkpoint error" in err and "2^53" in err
+
+
+class TestCheckpointFit:
+    """A model checkpoint that does not fit the config's model is a
+    checkpoint error (exit 2) for every command that loads one."""
+
+    @staticmethod
+    def command(name, cfg, ckpt, tmp_path):
+        out = ["--out", str(tmp_path / name)] if name in ("train", "fold") else []
+        return [name, "--config", cfg, "--init", ckpt, *out]
+
+    @pytest.mark.parametrize("name", ["eval", "diagnose", "fold", "train"])
+    def test_other_preset_is_exit_two(self, tmp_path, tiny_config, capsys, name):
+        from qsat.deployment import save_checkpoint
+        from qsat.training import build_model_from_config, parse_config_file
+
+        cfg = tiny_config("q8.cfg", bits="8", act_bits="8")
+        save_checkpoint(build_model_from_config(parse_config_file(cfg), (3, 32, 32), 10),
+                        tmp_path / "convnet.ckpt")
+        pre = tmp_path / "pre.cfg"
+        pre.write_text(TINY.format(bits="8", act_bits="8").replace("convnet-bn", "preresnet-toy"))
+        code, _, err = run_cli(capsys, *self.command(name, str(pre),
+                                                     str(tmp_path / "convnet.ckpt"), tmp_path))
+        assert code == 2
+        assert "checkpoint error" in err and "missing" in err
+
+    @pytest.mark.parametrize("name", ["eval", "diagnose", "fold", "train"])
+    def test_other_width_is_exit_two(self, tmp_path, tiny_config, capsys, name):
+        from qsat.deployment import save_checkpoint
+        from qsat.training import build_model_from_config, parse_config_file
+
+        cfg = tiny_config("q8.cfg", bits="8", act_bits="8")
+        save_checkpoint(build_model_from_config(parse_config_file(cfg), (3, 32, 32), 4),
+                        tmp_path / "four.ckpt")
+        code, _, err = run_cli(capsys, *self.command(name, cfg, str(tmp_path / "four.ckpt"),
+                                                     tmp_path))
+        assert code == 2
+        assert "checkpoint error" in err and "fc.weight" in err
+
+    def test_classes_seen_only_in_validation_fit_every_command(self, tmp_path, capsys):
+        # train holds labels 0-2 and test labels 0-3: every command sizes
+        # the classifier for four classes
+        rng = np.random.default_rng(0)
+        data = tmp_path / "cifar"
+        data.mkdir()
+        for path, count, classes in (("data_batch_1.bin", 32, 3), ("test_batch.bin", 16, 4)):
+            rows = rng.integers(0, 256, (count, 1 + 3 * 32 * 32), dtype=np.uint8)
+            rows[:, 0] = np.arange(count) % classes
+            (data / path).write_bytes(rows.tobytes())
+        cfgs = {}
+        for bits in ("fp", "8"):
+            cfgs[bits] = tmp_path / f"{bits}.cfg"
+            cfgs[bits].write_text(TINY.format(bits=bits, act_bits=bits)
+                                  .replace("dataset=blobs32", "dataset=cifar10"))
+        common = ["--dataset", str(data)]
+        code, fp, _ = run_cli(capsys, "train", "--config", str(cfgs["fp"]), *common,
+                              "--out", str(tmp_path / "fp"))
+        assert code == 0
+        code, q8, _ = run_cli(capsys, "train", "--config", str(cfgs["8"]), *common,
+                              "--out", str(tmp_path / "q8"), "--init", fp["checkpoint"])
+        assert code == 0
+        loads = ["--config", str(cfgs["8"]), *common, "--init", q8["checkpoint"]]
+        assert run_cli(capsys, "eval", *loads)[0] == 0
+        assert run_cli(capsys, "diagnose", *loads)[0] in (0, 1)
+        assert run_cli(capsys, "fold", *loads, "--out", str(tmp_path / "folded"))[0] == 0
 
 
 class TestSampleConfigs:

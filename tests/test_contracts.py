@@ -1,5 +1,6 @@
 """Literal pins of the model's layer lists: checkpoint (name, role) order,
-``parameters()`` order and every ``LinearInfo`` field, for the three presets.
+``parameters()`` order and every ``LinearInfo`` field, for the three presets,
+and the op names one training-mode forward puts on the tape.
 
 Checkpoint order defines the payload order of every checkpoint file, and
 ``LinearInfo`` feeds the diagnostics rows and the folded walk, so these lists
@@ -8,9 +9,12 @@ pre-activation block's PACT clip levels sit in ``parameters()``: SGD updates
 each parameter on its own, so that order never reaches a trained byte.
 """
 
+import numpy as np
 import pytest
 
+from qsat import tensor
 from qsat.network import build_preset
+from qsat.quant import RescaleMode
 
 CONVNET_BN_Q4_STATE = [
     ("block1.weight", "weight"), ("block1.bn.gamma", "bn_gamma"),
@@ -145,30 +149,30 @@ PRERESNET_RAW_PARAMS = [
     "fc.weight",
 ]
 
-# (index, name, k_pool, kappa_k, pact alpha's checkpoint name, skip_boundary,
+# (index, name, k_pool, pact alpha's checkpoint name, skip_boundary,
 #  preceding_pool_k) per linear layer, at 32x32 images
 CONVNET_INFOS_32 = [
-    (0, "block1", 2.0, 2.0, "block1.pact.alpha", False, 1.0),
-    (1, "block2", 1.0, 1.0, "block2.pact.alpha", False, 2.0),
-    (2, "block3", 2.0, 2.0, "block3.pact.alpha", False, 1.0),
-    (3, "block4", 1.0, 1.0, "block4.pact.alpha", False, 2.0),
-    (4, "block5", 2.0, 2.0, "block5.pact.alpha", False, 1.0),
-    (5, "block6", 4.0, 4.0, "block6.pact.alpha", False, 2.0),
-    (6, "fc", 1.0, 1.0, None, False, 4.0),
+    (0, "block1", 2.0, "block1.pact.alpha", False, 1.0),
+    (1, "block2", 1.0, "block2.pact.alpha", False, 2.0),
+    (2, "block3", 2.0, "block3.pact.alpha", False, 1.0),
+    (3, "block4", 1.0, "block4.pact.alpha", False, 2.0),
+    (4, "block5", 2.0, "block5.pact.alpha", False, 1.0),
+    (5, "block6", 4.0, "block6.pact.alpha", False, 2.0),
+    (6, "fc", 1.0, None, False, 4.0),
 ]
 
 PRERESNET_INFOS_32 = [
-    (0, "stem", 2.0, 2.0, None, True, 1.0),
-    (1, "res1.conv1", 1.0, 1.0, "res1.pact1.alpha", False, 2.0),
-    (2, "res1.conv2", 2.0, 2.0, "res1.pact2.alpha", True, 1.0),
-    (3, "res2.conv1", 1.0, 1.0, "res2.pact1.alpha", False, 2.0),
-    (4, "res2.conv2", 1.0, 1.0, "res2.pact2.alpha", True, 1.0),
-    (5, "fc", 1.0, 1.0, "tail.pact.alpha", False, 8.0),
+    (0, "stem", 2.0, None, True, 1.0),
+    (1, "res1.conv1", 1.0, "res1.pact1.alpha", False, 2.0),
+    (2, "res1.conv2", 2.0, "res1.pact2.alpha", True, 1.0),
+    (3, "res2.conv1", 1.0, "res2.pact1.alpha", False, 2.0),
+    (4, "res2.conv2", 1.0, "res2.pact2.alpha", True, 1.0),
+    (5, "fc", 1.0, "tail.pact.alpha", False, 8.0),
 ]
 
 
 def _without_alpha(infos):
-    return [(i, n, k, kk, None, skip, pre) for i, n, k, kk, _, skip, pre in infos]
+    return [(i, n, k, None, skip, pre) for i, n, k, _, skip, pre in infos]
 
 
 MODELS = {
@@ -224,7 +228,7 @@ def test_linear_info_fields(key):
     model = _build(key)
     names = _names_by_owner(model)
     got = [
-        (info.index, info.name, info.k_pool, info.kappa_k,
+        (info.index, info.name, info.k_pool,
          None if info.pact is None else names[id(info.pact.alpha)],
          info.skip_boundary, info.preceding_pool_k)
         for info in model.linear_infos()
@@ -251,3 +255,96 @@ def test_pool_fields_at_28_pixels(preset, pools):
     model = build_preset(preset, image_size=28, weight_bits="fp")
     got = [(info.k_pool, info.preceding_pool_k) for info in model.linear_infos()]
     assert got == pools
+
+
+# the op names of one training-mode forward, one line per layer record, at
+# 32x32 images with constant rescale; 4-bit quantizes activations too
+FORWARD_TAPES = {
+    ("convnet-bn", "raw"): """
+        conv2d batch_norm2d relu avg_pool2d
+        conv2d batch_norm2d relu
+        conv2d batch_norm2d relu avg_pool2d
+        conv2d batch_norm2d relu
+        conv2d batch_norm2d relu avg_pool2d
+        conv2d batch_norm2d relu avg_pool2d
+        reshape matmul
+    """,
+    ("convnet-bn", "fp"): """
+        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
+        dorefa_clamp mul sub conv2d batch_norm2d relu
+        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
+        dorefa_clamp mul sub conv2d batch_norm2d relu
+        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
+        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
+        reshape dorefa_clamp mul sub div matmul
+    """,
+    ("convnet-bn", 4): """
+        dorefa_clamp qk8 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
+        reshape dorefa_clamp qk8 mul sub div matmul
+    """,
+    ("convnet-nobn-tail", "raw"): """
+        conv2d batch_norm2d relu avg_pool2d
+        conv2d batch_norm2d relu
+        conv2d batch_norm2d relu avg_pool2d
+        conv2d batch_norm2d relu
+        conv2d batch_norm2d relu avg_pool2d
+        conv2d relu avg_pool2d
+        reshape matmul
+    """,
+    ("convnet-nobn-tail", "fp"): """
+        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
+        dorefa_clamp mul sub conv2d batch_norm2d relu
+        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
+        dorefa_clamp mul sub conv2d batch_norm2d relu
+        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
+        dorefa_clamp mul sub div conv2d relu avg_pool2d
+        reshape dorefa_clamp mul sub div matmul
+    """,
+    ("convnet-nobn-tail", 4): """
+        dorefa_clamp qk8 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize
+        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
+        dorefa_clamp qk4 mul sub div conv2d pact_quantize avg_pool2d
+        reshape dorefa_clamp qk8 mul sub div matmul
+    """,
+    ("preresnet-toy", "raw"): """
+        conv2d avg_pool2d
+        batch_norm2d relu conv2d
+        batch_norm2d relu conv2d add avg_pool2d
+        batch_norm2d relu conv2d
+        batch_norm2d relu conv2d add
+        batch_norm2d relu avg_pool2d reshape matmul
+    """,
+    ("preresnet-toy", "fp"): """
+        dorefa_clamp mul sub div conv2d avg_pool2d
+        batch_norm2d relu dorefa_clamp mul sub conv2d
+        batch_norm2d relu dorefa_clamp mul sub div conv2d add avg_pool2d
+        batch_norm2d relu dorefa_clamp mul sub conv2d
+        batch_norm2d relu dorefa_clamp mul sub div conv2d add
+        batch_norm2d relu avg_pool2d reshape dorefa_clamp mul sub div matmul
+    """,
+    ("preresnet-toy", 4): """
+        dorefa_clamp qk8 mul sub div conv2d avg_pool2d
+        batch_norm2d pact_quantize dorefa_clamp qk4 mul sub conv2d
+        batch_norm2d pact_quantize dorefa_clamp qk4 mul sub div conv2d add avg_pool2d
+        batch_norm2d pact_quantize dorefa_clamp qk4 mul sub conv2d
+        batch_norm2d pact_quantize dorefa_clamp qk4 mul sub div conv2d add
+        batch_norm2d pact_quantize avg_pool2d reshape dorefa_clamp qk8 mul sub div matmul
+    """,
+}
+
+
+@pytest.mark.parametrize("preset, bits", FORWARD_TAPES)
+def test_forward_tape(preset, bits):
+    model = build_preset(preset, weight_bits=bits, act_bits=bits if bits == 4 else "fp",
+                         rescale=RescaleMode.CONSTANT, seed=5)
+    tensor._tape.clear()
+    model.forward(tensor.Tensor(np.zeros((2, 3, 32, 32), np.float32)), training=True)
+    assert [node.op for node in tensor._tape] == FORWARD_TAPES[preset, bits].split()

@@ -7,8 +7,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from qsat import deployment as dep
 from qsat import tensor
 from qsat.data import make_blobs
-from qsat.network import build_preset
-from qsat.quant import PactBackward, RescaleMode
+from qsat.network import BatchNorm2d, build_preset
+from qsat.quant import PactBackward, PactState, RescaleMode
 from qsat.tensor import Tensor, no_grad
 from qsat.training import SGD, cross_entropy
 
@@ -140,16 +140,16 @@ class TestCheckpointContainer:
         q = build_preset("convnet-bn", weight_bits=4, act_bits=4,
                          rescale=RescaleMode.CONSTANT, seed=60)
         dep.load_model_checkpoint(path, q, expect_hash="q4-hash")  # warns only
-        npt.assert_array_equal(q.blocks[0].conv.w.data, fp.blocks[0].conv.w.data)
+        npt.assert_array_equal(q.layer_table[0].layer.w.data, fp.layer_table[0].layer.w.data)
         # alphas keep their fresh initialization
-        assert q.blocks[0].pact.alpha_value == pytest.approx(8.0)
+        assert q.layer_table[0].find(PactState).alpha_value == pytest.approx(8.0)
 
 
 class TestFoldBn:
     def test_transparent_bn_folds_to_plain_clip(self):
         model = trained_quant_model(seed=7, steps=0)
-        for block in model.blocks:
-            bn = block.bn
+        for record in model.layer_table[:-1]:
+            bn = record.find(BatchNorm2d)
             bn.gamma.data = np.ones_like(bn.gamma.data)
             bn.beta.data = np.zeros_like(bn.beta.data)
             bn.running_mean[...] = 0.0
@@ -187,7 +187,7 @@ class TestFoldBn:
 
     def test_negative_gamma_channels_fold_by_sign_flip(self):
         model = trained_quant_model(seed=10, steps=5)
-        bn = model.blocks[2].bn
+        bn = model.layer_table[2].find(BatchNorm2d)
         bn.gamma.data[::2] *= -1.0
         folded = dep.fold_bn(model)
         rng = np.random.default_rng(100)
@@ -200,7 +200,7 @@ class TestFoldBn:
 
     def test_zero_gamma_channel_rejected(self):
         model = trained_quant_model(seed=11, steps=0)
-        model.blocks[1].bn.gamma.data[3] = 0.0
+        model.layer_table[1].find(BatchNorm2d).gamma.data[3] = 0.0
         with pytest.raises(dep.FoldError, match="channel 3"):
             dep.fold_bn(model)
 

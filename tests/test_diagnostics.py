@@ -199,7 +199,7 @@ class TestEtrCheck:
         model = build_preset("convnet-nobn-tail", weight_bits="raw", seed=23)
         report = etr_check(model, collect_records(model, 0, None))
         assert report.verdict("ETR-II") == "PASS"  # raw init product is ~1
-        tail = model.blocks[-1].conv
+        tail = model.layer_table[-2].layer
         tail.w.data = tail.w.data * 5.0  # product ~25, outside the band
         tail.last_effective = None
         report = etr_check(model, collect_records(model, 0, None))

@@ -4,12 +4,13 @@ import pytest
 
 from qsat.network import (
     BatchNorm2d,
-    Block,
     Conv2dLayer,
     DenseLayer,
+    LayerRecord,
     Pool,
     PRESETS,
     build_preset,
+    run_table,
     validate_model,
 )
 from qsat import tensor as tensor_module
@@ -89,40 +90,43 @@ class TestBatchNorm:
             BatchNorm2d(3)(Tensor(np.zeros((2, 4, 3, 3))), training=True)
 
 
+def run_record(modules, x, training):
+    """The forward of one layer record holding ``modules``."""
+    return run_table([LayerRecord(modules, skip_boundary=False)], x, training)
+
+
 class TestForwardBlock:
     def test_transparent_block_is_relu(self):
         conv = Conv2dLayer("c", 1, 1, 1, scheme=None)
         conv.w.data = np.ones((1, 1, 1, 1), dtype=np.float32)
         bn = BatchNorm2d(1)  # eval mode with fresh running stats: mu=0, var=1
-        block = Block(conv, bn, act=True, pact=None, pool=None)
         x = Tensor(rand((2, 1, 4, 4), seed=5).astype(np.float32))
-        out = block.forward(x, training=False)
+        out = run_record([("c", conv), ("c.bn", bn), ("", relu)], x, training=False)
         npt.assert_allclose(out.data, np.maximum(x.data, 0.0), atol=1e-4)
 
     def test_avg_pool_preserves_constants(self):
         conv = Conv2dLayer("c", 1, 1, 1, scheme=None)
         conv.w.data = np.ones((1, 1, 1, 1), dtype=np.float32)
-        block = Block(conv, None, act=False, pact=None, pool=Pool("avg", 2))
-        out = block.forward(Tensor(np.full((1, 1, 4, 4), 2.5)), training=False)
+        out = run_record([("c", conv), ("", Pool(2))],
+                         Tensor(np.full((1, 1, 4, 4), 2.5)), training=False)
         npt.assert_allclose(out.data, np.full((1, 1, 2, 2), 2.5))
 
     def test_relu_halves_second_moment_after_bn(self):
-        # zero-mean unit-variance pre-activation, gamma scales it: the block
+        # zero-mean unit-variance pre-activation, gamma scales it: the record
         # output mean-square lands near gamma^2 / 2
         gamma = 1.7
         conv = Conv2dLayer("c", 8, 8, 3, pad=1, scheme=None, rng=np.random.default_rng(6))
         bn = BatchNorm2d(8)
         bn.gamma.data = np.full(8, gamma, dtype=np.float32)
-        block = Block(conv, bn, act=True, pact=None, pool=None)
         x = Tensor(rand((32, 8, 16, 16), seed=7).astype(np.float32))
-        out = block.forward(x, training=True)
+        out = run_record([("c", conv), ("c.bn", bn), ("", relu)], x, training=True)
         assert mean_square_value(out) == pytest.approx(gamma**2 / 2, rel=0.15)
 
     def test_geometry_mismatch(self):
         conv = Conv2dLayer("c", 3, 4, 3)
-        block = Block(conv, None, act=True, pact=None, pool=None)
         with pytest.raises(ShapeError):
-            block.forward(Tensor(np.zeros((1, 5, 8, 8))), training=False)
+            run_record([("c", conv), ("", relu)], Tensor(np.zeros((1, 5, 8, 8))),
+                       training=False)
 
 
 def same_bits(a, b):
@@ -153,50 +157,56 @@ class TestPactSubsumesRelu:
         def make():
             conv = Conv2dLayer("c", 3, 8, 3, pad=1, scheme=QuantScheme(4),
                                follows_bn=True, rng=np.random.default_rng(40))
-            return Block(conv, BatchNorm2d(8), act=True, pact=self.pact(mode),
-                         pool=Pool("avg", 2))
+            return LayerRecord([("c", conv), ("c.bn", BatchNorm2d(8)),
+                                ("c.pact", self.pact(mode)), ("", Pool(2))],
+                               skip_boundary=False)
 
-        def reference(b, t):
-            h = b.bn(b.conv(t), True)
-            return b.pool(pact_quantize(relu(h), b.pact))
+        def reference(r, t):
+            h = r.find(BatchNorm2d)(r.layer(t), True)
+            return r.find(Pool)(pact_quantize(relu(h), r.find(PactState)))
 
-        def params(b):
-            return [b.conv.w, b.bn.gamma, b.bn.beta, b.pact.alpha]
+        def params(r):
+            bn = r.find(BatchNorm2d)
+            return [r.layer.w, bn.gamma, bn.beta, r.find(PactState).alpha]
 
         x = rand((4, 3, 8, 8), seed=41).astype(np.float32)
-        b1, b2 = make(), make()
-        ops, got = run_and_record(lambda t: b1.forward(t, True), x, params(b1))
-        _, want = run_and_record(lambda t: reference(b2, t), x, params(b2))
+        r1, r2 = make(), make()
+        ops, got = run_and_record(lambda t: run_table([r1], t, True), x, params(r1))
+        _, want = run_and_record(lambda t: reference(r2, t), x, params(r2))
         assert "relu" not in ops and "pact_quantize" in ops
         assert all(same_bits(a, b) for a, b in zip(got, want))
-        assert same_bits(b1.bn.running_var, b2.bn.running_var)
+        assert same_bits(r1.find(BatchNorm2d).running_var, r2.find(BatchNorm2d).running_var)
 
     @pytest.mark.parametrize("mode", [PactBackward.CG, PactBackward.LEGACY])
     def test_preresnet_block(self, mode):
+        # res2's two records: a whole pre-activation block with no pool
         def make():
             model = build_preset("preresnet-toy", weight_bits=4, act_bits=4,
                                  rescale=RescaleMode.CONSTANT, pact_mode=mode, seed=42)
-            return model.res_blocks[0]
+            return model.layer_table[3:5]
 
-        def reference(b, t):
-            h = b.conv1(pact_quantize(relu(b.bn1(t, True)), b.pact1))
-            h = b.conv2(pact_quantize(relu(b.bn2(h, True)), b.pact2))
+        def reference(records, t):
+            h = t
+            for r in records:
+                h = r.layer(pact_quantize(relu(r.find(BatchNorm2d)(h, True)),
+                                          r.find(PactState)))
             return t + h
 
-        def params(b):
-            return [b.bn1.gamma, b.bn1.beta, b.pact1.alpha, b.conv1.w,
-                    b.bn2.gamma, b.bn2.beta, b.pact2.alpha, b.conv2.w]
+        def params(records):
+            return [p for r in records for p in (
+                r.find(BatchNorm2d).gamma, r.find(BatchNorm2d).beta,
+                r.find(PactState).alpha, r.layer.w)]
 
         x = rand((4, 16, 8, 8), seed=43).astype(np.float32)
         b1, b2 = make(), make()
-        ops, got = run_and_record(lambda t: b1.forward(t, True), x, params(b1))
+        ops, got = run_and_record(lambda t: run_table(b1, t, True), x, params(b1))
         _, want = run_and_record(lambda t: reference(b2, t), x, params(b2))
         assert "relu" not in ops and ops.count("pact_quantize") == 2
         assert all(same_bits(a, b) for a, b in zip(got, want))
 
     def test_relu_kept_without_pact(self):
         model = build_preset("preresnet-toy", weight_bits="raw", seed=44)
-        ops, _ = run_and_record(lambda t: model.res_blocks[0].forward(t, True),
+        ops, _ = run_and_record(lambda t: run_table(model.layer_table[3:5], t, True),
                                 rand((2, 16, 8, 8), seed=45).astype(np.float32), [])
         assert ops.count("relu") == 2
 
@@ -285,11 +295,11 @@ class TestPresets:
 class TestResidual:
     def test_zeroed_branch_reproduces_the_skip_exactly(self):
         model = build_preset("preresnet-toy", weight_bits="raw", seed=10)
-        block = model.res_blocks[0]
-        block.conv1.w.data = np.zeros_like(block.conv1.w.data)
-        block.conv2.w.data = np.zeros_like(block.conv2.w.data)
+        block = model.layer_table[3:5]
+        for record in block:
+            record.layer.w.data = np.zeros_like(record.layer.w.data)
         x = Tensor(rand((2, 16, 8, 8), seed=11).astype(np.float32))
-        out = block.forward(x, training=True)
+        out = run_table(block, x, training=True)
         npt.assert_array_equal(out.data, x.data)
 
     def test_eval_forward_is_batch_order_independent(self):
@@ -305,7 +315,7 @@ class TestResidual:
 class TestLogitScaleChain:
     def setup_model(self, seed=0):
         model = build_preset("convnet-bn", weight_bits="raw", seed=seed)
-        fc = model.fc
+        fc = model.layer_table[-1].layer
         k = model.linear_infos()[-1].preceding_pool_k
         pred = fc.n_in * mean_square_value(fc.w.data) / k**2
         rng = np.random.default_rng(100 + seed)
@@ -323,13 +333,11 @@ class TestLogitScaleChain:
         model = build_preset("convnet-bn", weight_bits="raw", seed=0)
         rng = np.random.default_rng(200)
         x = rng.integers(0, 256, (64, 3, 32, 32)).astype(np.float32)
-        h = Tensor(x)
         with no_grad():
-            for block in model.blocks:
-                h = block.forward(h, training=True)
-            feats = h.data.reshape(64, -1)
+            feats = run_table(model.layer_table[:-1], Tensor(x), training=True).data.reshape(64, -1)
             z = model.forward(Tensor(x), training=True).data
-        pred = model.fc.n_in * mean_square_value(model.fc.w.data) * mean_square_value(feats)
+        fc = model.layer_table[-1].layer
+        pred = fc.n_in * mean_square_value(fc.w.data) * mean_square_value(feats)
         assert mean_square_value(z) == pytest.approx(pred, rel=0.5)
 
     @pytest.mark.xfail(

@@ -12,7 +12,6 @@ from qsat.tensor import (
     conv2d,
     finite_difference_check,
     matmul,
-    max_pool2d,
     mean_square,
     mean_square_value,
     no_grad,
@@ -494,14 +493,6 @@ class TestElementwiseAndPooling:
         t = Tensor(rand((1, 1, 4, 4), seed=2), requires_grad=True)
         avg_pool2d(t, 2).sum().backward()
         npt.assert_allclose(t.grad, np.full((1, 1, 4, 4), 0.25))
-
-    def test_max_pool_forward_and_routing(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        t = Tensor(x, requires_grad=True)
-        out = max_pool2d(t, 2)
-        npt.assert_array_equal(out.data, [[[[4.0]]]])
-        out.sum().backward()
-        npt.assert_array_equal(t.grad, [[[[0.0, 0.0], [0.0, 1.0]]]])
 
     def test_pool_shape_errors(self):
         with pytest.raises(ShapeError):

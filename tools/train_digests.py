@@ -1,8 +1,15 @@
 """Print the sha256 of every file that ``qsat train`` writes for the three
-``perfbench/configs`` runs, of the file ``qsat fold`` writes for the 4-bit
-run, of what ``qsat diagnose`` prints for each run, and of the folded
-model's ``forward_int`` logits and ``forward_float`` logits and margins, so
-two checkouts can be compared by a diff.
+``perfbench/configs`` runs and two short runs derived from them, of the file
+``qsat fold`` writes for the 4-bit run, of what ``qsat diagnose`` prints for
+each run, and of the folded model's ``forward_int`` logits and
+``forward_float`` logits and margins, so two checkouts can be compared by a
+diff.
+
+The derived runs cover layer-table paths the three runs miss: a ReLU with
+no BN in front of it (one epoch of ``convnet-nobn-tail`` at full precision)
+and PACT inside residual blocks (one epoch of a 4-bit ``preresnet-toy``
+fine-tune from the raw run).  Their configs are the base configs with some
+keys replaced, written to the temporary directory.
 
 The folded outputs cover the 640-image validation pool of the 4-bit run's
 dataset (its seed, 10 training images), in batches of its batch size, the
@@ -24,11 +31,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-# (run name, config, run whose checkpoint it starts from)
+# (run name, base config, keys it replaces, run whose checkpoint it starts from)
 RUNS = (
-    ("fp", "fp_convnet.cfg", None),
-    ("q4", "q4_convnet.cfg", "fp"),
-    ("raw", "raw_preresnet.cfg", None),
+    ("fp", "fp_convnet.cfg", {}, None),
+    ("q4", "q4_convnet.cfg", {}, "fp"),
+    ("raw", "raw_preresnet.cfg", {}, None),
+    ("nobn-fp", "fp_convnet.cfg",
+     {"preset": "convnet-nobn-tail", "epochs": 1, "warmup_epochs": 0}, None),
+    ("preresnet-q4", "q4_convnet.cfg",
+     {"preset": "preresnet-toy", "epochs": 1, "warmup_epochs": 0}, "raw"),
 )
 FOLDED_RUN = "q4"
 POOL_IMAGES = 640
@@ -62,31 +73,38 @@ def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "QSAT_THREADS"):
         env[var] = "1"
     with tempfile.TemporaryDirectory() as tmp:
-        def qsat(command, cfg, *extra, check=True):
-            cmd = [sys.executable, "-m", "qsat.cli", command,
-                   "--config", str(root / "perfbench" / "configs" / cfg), *extra]
+        config_dir = Path(tmp, "configs")
+        config_dir.mkdir()
+        configs = {}
+        for name, base, replaced, _ in RUNS:
+            lines = [line for line in (root / "perfbench" / "configs" / base).read_text().splitlines()
+                     if line.split("=")[0].strip() not in replaced]
+            configs[name] = config_dir / f"{name}.cfg"
+            configs[name].write_text("\n".join(lines + [f"{k}={v}" for k, v in replaced.items()]) + "\n")
+
+        def qsat(command, name, *extra, check=True):
+            cmd = [sys.executable, "-m", "qsat.cli", command, "--config", str(configs[name]), *extra]
             return subprocess.run(cmd, env=env, cwd=tmp, check=check, stdout=subprocess.PIPE)
 
         def checkpoint(name):
             return os.path.join(tmp, name, "checkpoint.ckpt")
 
-        for name, cfg, init in RUNS:
+        for name, _, _, init in RUNS:
             init_args = ["--init", checkpoint(init)] if init else []
-            qsat("train", cfg, "--out", os.path.join(tmp, name), "--force", *init_args)
+            qsat("train", name, "--out", os.path.join(tmp, name), "--force", *init_args)
         diagnose_dir = Path(tmp, "diagnose")
         diagnose_dir.mkdir()
-        for name, cfg, _ in RUNS:
+        for name, *_ in RUNS:
             if name == FOLDED_RUN:
-                qsat("fold", cfg, "--init", checkpoint(name),
+                qsat("fold", name, "--init", checkpoint(name),
                      "--out", os.path.join(tmp, "fold"), "--force")
                 outputs = Path(tmp, "folded_outputs")
                 outputs.mkdir()
-                subprocess.run([sys.executable, "-c", FOLDED_OUTPUTS,
-                                str(root / "perfbench" / "configs" / cfg),
+                subprocess.run([sys.executable, "-c", FOLDED_OUTPUTS, str(configs[name]),
                                 os.path.join(tmp, "fold", "folded.ckpt"), str(outputs),
                                 str(POOL_IMAGES)], env=env, cwd=tmp, check=True)
             # exit 1 only reports WARN/FAIL verdicts; anything else is an error
-            done = qsat("diagnose", cfg, "--init", checkpoint(name), check=False)
+            done = qsat("diagnose", name, "--init", checkpoint(name), check=False)
             if done.returncode not in (0, 1):
                 raise SystemExit(f"qsat diagnose on the {name} run exited {done.returncode}")
             (diagnose_dir / f"{name}.stdout").write_bytes(done.stdout)
