@@ -17,6 +17,7 @@ imported, which is why the heavy imports happen inside main().
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -62,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="run config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="run config file")
         p.add_argument("--init", help="checkpoint to initialize from")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
@@ -74,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("train", help="train a model per the config"))
     common(sub.add_parser("eval", help="evaluate a checkpoint"))
     common(sub.add_parser("diagnose", help="check the training rules on a checkpoint"))
-    fold = sub.add_parser("fold", help="fold batch norms into integer inference")
-    common(fold)
+    common(sub.add_parser("fold", help="fold batch norms into integer inference"))
     study = sub.add_parser("study", help="run a variance study")
     study.add_argument("name", choices=["clamp-var", "quant-var"])
     study.add_argument("--out", required=True)
@@ -84,66 +84,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args):
-    from .training import parse_config_file
+def _open_run(args):
+    """The config, with ``--seed`` and ``--dataset`` applied, and the
+    ``--init`` checkpoint, each read once.
 
-    cfg = parse_config_file(args.config)
+    Only ``train`` runs without ``--init`` (the checkpoint is then None), and
+    only ``eval`` takes a folded file; any other checkpoint must hold a model.
+    """
+    from . import deployment, training
+
+    cfg = training.parse_config_file(args.config)
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.dataset:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, dataset_path=args.dataset)
-    return cfg
-
-
-def _build_with_checkpoint(args):
-    """Model from config with tensors from --init (schemes from config)."""
-    from . import deployment, training
-    from .data import load_dataset
-
-    cfg = _load_config(args)
-    train_set, val_set = load_dataset(
-        cfg.dataset, path=cfg.dataset_path, seed=cfg.seed,
-        train_size=cfg.train_size, val_size=cfg.val_size,
-    )
-    model = training.build_model_from_config(
-        cfg, train_set.image_shape, training.class_count(train_set, val_set)
-    )
-    if args.init:
-        deployment.load_model_checkpoint(
-            args.init, model, expect_hash=training.config_hash(cfg)
-        )
-    return cfg, model
+    if not args.init:
+        if args.command != "train":
+            raise training.ConfigError(f"{args.command} requires --init with a checkpoint")
+        return cfg, None
+    ckpt = deployment.load_checkpoint(args.init)
+    if not (args.command == "eval" and ckpt.kind == "folded"):
+        deployment.check_model_checkpoint(args.init, ckpt, training.config_hash(cfg))
+    return cfg, ckpt
 
 
 def cmd_train(args) -> int:
     from . import deployment, training
 
-    cfg = _load_config(args)
+    cfg, ckpt = _open_run(args)
     out_dir = _resolve_out_dir(args.out or "run", args.force)
     cfg_digest = training.config_hash(cfg)
-    init_state = None
-    if args.init:
-        ckpt = deployment.load_checkpoint(args.init)
-        if ckpt.kind != "model":
-            raise deployment.CheckpointError(
-                f"{args.init}: cannot initialize training from a folded model"
-            )
-        if ckpt.config_hash and ckpt.config_hash != cfg_digest:
-            logging.getLogger("qsat").warning(
-                "initializing from a checkpoint written under a different config"
-            )
-        init_state = ckpt.tensors
 
     def save_fn(model, path):
         deployment.save_checkpoint(model, path, config_hash=cfg_digest)
 
     try:
         result = training.train(
-            cfg, out_dir=out_dir, init_state=init_state, save_checkpoint_fn=save_fn
+            cfg, out_dir=out_dir, init_state=None if ckpt is None else ckpt.tensors,
+            save_checkpoint_fn=save_fn,
         )
     except training.DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
@@ -165,40 +143,23 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import deployment, training
-    from .data import load_dataset
-    import numpy as np
 
-    if not args.init:
-        raise training.ConfigError("eval requires --init with a checkpoint")
-    cfg = _load_config(args)
-    _, val_set = load_dataset(
-        cfg.dataset, path=cfg.dataset_path, seed=cfg.seed,
-        train_size=cfg.train_size, val_size=cfg.val_size,
-    )
-    ckpt = deployment.load_checkpoint(args.init)
+    cfg, ckpt = _open_run(args)
     if ckpt.kind == "folded":
-        folded = deployment.load_folded(args.init)
+        folded = deployment.folded_from_checkpoint(args.init, ckpt)
+        _, val_set = training.load_splits(cfg)
         folded.check_input(val_set.image_shape)
-        hits1 = hits5 = 0
-        for start in range(0, len(val_set), cfg.batch_size):
-            images = val_set.images[start : start + cfg.batch_size]
-            labels = val_set.labels[start : start + cfg.batch_size]
-            logits = folded.forward_int(images)
-            hits1 += int(np.sum(logits.argmax(axis=1) == labels))
-            hits5 += training._topk_hits(logits, labels, 5)
-        top1, top5v = hits1 / len(val_set), hits5 / len(val_set)
-        path_kind = "folded"
+        top1, top5 = training.accuracy(folded.forward_int, val_set, cfg.batch_size)
     else:
-        _, model = _build_with_checkpoint(args)
-        top1, top5v = training.evaluate(model, val_set, batch_size=cfg.batch_size)
-        path_kind = "float"
+        _, val_set, model = training.open_model(cfg, ckpt.tensors)
+        top1, top5 = training.evaluate(model, val_set, batch_size=cfg.batch_size)
     _emit(
         {
             "command": "eval",
             "status": "ok",
-            "path": path_kind,
+            "path": "folded" if ckpt.kind == "folded" else "float",
             "top1": top1,
-            "top5": top5v,
+            "top5": top5,
         }
     )
     return 0
@@ -207,9 +168,8 @@ def cmd_eval(args) -> int:
 def cmd_diagnose(args) -> int:
     from . import diagnostics, training
 
-    if not args.init:
-        raise training.ConfigError("diagnose requires --init with a checkpoint")
-    cfg, model = _build_with_checkpoint(args)
+    cfg, ckpt = _open_run(args)
+    _, _, model = training.open_model(cfg, ckpt.tensors)
     records = diagnostics.collect_records(model, 0, None)
     report = diagnostics.etr_check(model, records)
     print(report.table(), file=sys.stderr)
@@ -252,9 +212,8 @@ def cmd_study(args) -> int:
 def cmd_fold(args) -> int:
     from . import deployment, training
 
-    if not args.init:
-        raise training.ConfigError("fold requires --init with a checkpoint")
-    cfg, model = _build_with_checkpoint(args)
+    cfg, ckpt = _open_run(args)
+    _, _, model = training.open_model(cfg, ckpt.tensors)
     out_dir = _resolve_out_dir(args.out or "folded", args.force)
     folded = deployment.fold_bn(model)
     path = out_dir / "folded.ckpt"

@@ -33,6 +33,7 @@ __all__ = [
     "Checkpoint",
     "save_checkpoint",
     "load_checkpoint",
+    "check_model_checkpoint",
     "load_model_checkpoint",
     "load_model_state",
     "FoldedLayer",
@@ -40,6 +41,7 @@ __all__ = [
     "fold_bn",
     "save_folded",
     "load_folded",
+    "folded_from_checkpoint",
 ]
 
 log = logging.getLogger("qsat.deployment")
@@ -190,15 +192,13 @@ def load_model_state(model, tensors: dict[str, np.ndarray]) -> None:
         raise CheckpointError(exc.args[0]) from exc
 
 
-def load_model_checkpoint(path, model, expect_hash: str | None = None) -> Checkpoint:
-    """Load tensors into an already-built model.
+def check_model_checkpoint(path, ckpt: Checkpoint, expect_hash: str | None) -> None:
+    """Reject a checkpoint read from ``path`` unless it holds a model.
 
-    Schemes come from the model's own configuration; only tensor values are
-    taken from the file.  A config-hash mismatch warns instead of failing,
-    since finetuning intentionally loads full-precision checkpoints into
-    quantized configurations.
+    A config-hash mismatch warns instead of failing, since finetuning
+    intentionally loads full-precision checkpoints into quantized
+    configurations.
     """
-    ckpt = load_checkpoint(path)
     if ckpt.kind != "model":
         raise CheckpointError(f"{path}: expected a model checkpoint, got '{ckpt.kind}'")
     if expect_hash and ckpt.config_hash and ckpt.config_hash != expect_hash:
@@ -206,6 +206,16 @@ def load_model_checkpoint(path, model, expect_hash: str | None = None) -> Checkp
             "checkpoint %s was written under a different config (hash %s vs %s)",
             path, ckpt.config_hash, expect_hash,
         )
+
+
+def load_model_checkpoint(path, model, expect_hash: str | None = None) -> Checkpoint:
+    """Load tensors into an already-built model.
+
+    Schemes come from the model's own configuration; only tensor values are
+    taken from the file.
+    """
+    ckpt = load_checkpoint(path)
+    check_model_checkpoint(path, ckpt, expect_hash)
     load_model_state(model, ckpt.tensors)
     return ckpt
 
@@ -563,9 +573,13 @@ def save_folded(folded: FoldedModel, path, config_hash: str = "") -> None:
 
 
 def load_folded(path) -> FoldedModel:
-    """Read a folded model, rejecting any field the exact integer path
-    relies on that is missing or out of range."""
-    ckpt = load_checkpoint(path)
+    """Read and check the folded model in the file at ``path``."""
+    return folded_from_checkpoint(path, load_checkpoint(path))
+
+
+def folded_from_checkpoint(path, ckpt: Checkpoint) -> FoldedModel:
+    """The folded model in a checkpoint read from ``path``, rejecting any
+    field the exact integer path relies on that is missing or out of range."""
     if ckpt.kind != "folded":
         raise CheckpointError(f"{path}: expected a folded model, got '{ckpt.kind}'")
     try:

@@ -467,7 +467,7 @@ def linear_layer_count(preset: str) -> int:
 
 def _normalize_bits(bits) -> int | None | str:
     """'raw' -> raw weights, 'fp'/None -> full precision, int -> quantized."""
-    if bits in ("raw", "vanilla"):
+    if bits == "raw":
         return "raw"
     if bits in ("fp", None):
         return None
@@ -484,7 +484,7 @@ def build_preset(
     act_bits="fp",
     rescale: RescaleMode = RescaleMode.NONE,
     pact_mode: PactBackward = PactBackward.CG,
-    first_last_bits: int | str | None = MIN_EDGE_BITS,
+    first_last_bits: int | str = MIN_EDGE_BITS,
     layer_overrides: dict[int, dict] | None = None,
     seed: int = 0,
     dtype=np.float32,
@@ -515,8 +515,7 @@ def build_preset(
         if wbits in ("raw", None):
             return wbits
         if idx in (0, n_linear - 1) and first_last_bits != "uniform":
-            floor_bits = MIN_EDGE_BITS if first_last_bits is None else int(first_last_bits)
-            return max(wbits, floor_bits)
+            return max(wbits, int(first_last_bits))
         return wbits
 
     def layer_scheme(idx: int, fan_out: int, follows_bn: bool) -> QuantScheme | None:

@@ -38,7 +38,10 @@ __all__ = [
     "lr_schedule",
     "train",
     "evaluate",
+    "accuracy",
     "TrainResult",
+    "load_splits",
+    "open_model",
     "build_model_from_config",
     "METRICS_COLUMNS",
 ]
@@ -138,12 +141,10 @@ def _valid_bits(value: str, words: tuple[str, ...]) -> bool:
         return False
 
 
-_INT_KEYS = {"epochs", "batch_size", "warmup_epochs", "seed", "diag_every",
-             "train_size", "val_size"}
-_FLOAT_KEYS = {"base_lr", "momentum", "weight_decay"}
-_STR_KEYS = {"preset", "dataset", "bits", "act_bits", "rescale", "pact_mode",
-             "first_last_bits", "dataset_path"}
-_REQUIRED_KEYS = ("preset", "dataset", "epochs", "batch_size", "bits")
+# the config file's keys: every field but the per-layer overrides, parsed by
+# its annotated type; a field without a default is required
+_KEYS = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "layer_overrides"}
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 
 
 def parse_config(text: str) -> TrainConfig:
@@ -178,21 +179,15 @@ def parse_config(text: str) -> TrainConfig:
             else:
                 raise ConfigError(f"line {lineno}: unknown override '{what}'")
             continue
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: key '{key}' needs an integer")
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: key '{key}' needs a number")
-        elif key in _STR_KEYS:
-            values[key] = value
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
-    missing = [k for k in _REQUIRED_KEYS if k not in values]
+        cast, needs = _NUMBERS.get(_KEYS[key].type, (str, ""))
+        try:
+            values[key] = cast(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: key '{key}' needs {needs}")
+    missing = [k for k, f in _KEYS.items()
+               if f.default is dataclasses.MISSING and k not in values]
     if missing:
         raise ConfigError(f"missing config key{'s' if len(missing) > 1 else ''}: "
                           + ", ".join(missing))
@@ -217,6 +212,24 @@ def class_count(train_set: ArrayDataset, val_set: ArrayDataset) -> int:
     """The classifier's width: every label of either split, and at least
     the two cross-entropy needs."""
     return max(train_set.num_classes, val_set.num_classes, 2)
+
+
+def load_splits(cfg: TrainConfig) -> tuple[ArrayDataset, ArrayDataset]:
+    """The training and validation splits of the config's dataset."""
+    return load_dataset(
+        cfg.dataset, path=cfg.dataset_path, seed=cfg.seed,
+        train_size=cfg.train_size, val_size=cfg.val_size,
+    )
+
+
+def open_model(cfg: TrainConfig, tensors: dict[str, np.ndarray] | None):
+    """Both splits, and the config's model sized for their classes and
+    holding ``tensors`` when they are given."""
+    train_set, val_set = load_splits(cfg)
+    model = build_model_from_config(cfg, train_set.image_shape, class_count(train_set, val_set))
+    if tensors is not None:
+        load_model_state(model, tensors)
+    return train_set, val_set, model
 
 
 def build_model_from_config(cfg: TrainConfig, image_shape, classes: int):
@@ -328,20 +341,25 @@ def _topk_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> int:
     return int(np.sum(top == labels[:, None]))
 
 
-def evaluate(model, dataset: ArrayDataset, batch_size: int = 128):
-    """Deterministic top-1/top-5 accuracy in eval mode (running BN stats)."""
+def accuracy(logits_fn, dataset: ArrayDataset, batch_size: int):
+    """Top-1/top-5 accuracy of ``logits_fn(images)`` over ``dataset`` in
+    batches of ``batch_size``."""
     if len(dataset) == 0:
         raise DatasetError("cannot evaluate on an empty dataset")
     hits1 = hits5 = 0
-    with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            images = dataset.images[start : start + batch_size]
-            labels = dataset.labels[start : start + batch_size]
-            logits = model.forward(Tensor(images), training=False).data
-            pred = logits.argmax(axis=1)
-            hits1 += int(np.sum(pred == labels))
-            hits5 += _topk_hits(logits, labels, 5)
+    for start in range(0, len(dataset), batch_size):
+        labels = dataset.labels[start : start + batch_size]
+        logits = logits_fn(dataset.images[start : start + batch_size])
+        hits1 += int(np.sum(logits.argmax(axis=1) == labels))
+        hits5 += _topk_hits(logits, labels, 5)
     return hits1 / len(dataset), hits5 / len(dataset)
+
+
+def evaluate(model, dataset: ArrayDataset, batch_size: int = 128):
+    """Deterministic top-1/top-5 accuracy in eval mode (running BN stats)."""
+    with no_grad():
+        return accuracy(lambda images: model.forward(Tensor(images), training=False).data,
+                        dataset, batch_size)
 
 
 # -- training loop --------------------------------------------------------------
@@ -382,15 +400,9 @@ def train(
             "quantized finetune requires a pretrained full-precision "
             "checkpoint (pass one via --init)"
         )
-    train_set, val_set = load_dataset(
-        cfg.dataset, path=cfg.dataset_path, seed=cfg.seed,
-        train_size=cfg.train_size, val_size=cfg.val_size,
-    )
+    train_set, val_set, model = open_model(cfg, init_state)
     if len(train_set) == 0 or len(val_set) == 0:
         raise DatasetError("empty dataset")
-    model = build_model_from_config(cfg, train_set.image_shape, class_count(train_set, val_set))
-    if init_state is not None:
-        load_model_state(model, init_state)
 
     flip_augment = train_set.image_shape[-1] == 32
     data_rng = np.random.default_rng([cfg.seed, 0xDA7A])

@@ -426,6 +426,104 @@ class TestCheckpointFit:
         assert run_cli(capsys, "fold", *loads, "--out", str(tmp_path / "folded"))[0] == 0
 
 
+def write_idx(path, array):
+    """An uncompressed IDX file of unsigned bytes."""
+    header = (0x0800 | array.ndim).to_bytes(4, "big")
+    header += b"".join(d.to_bytes(4, "big") for d in array.shape)
+    path.write_bytes(header + array.astype(np.uint8).tobytes())
+
+
+class TestOpenRun:
+    """Every command that takes --init reads its config, dataset and
+    checkpoint once, and checks a model checkpoint once."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, tiny_config):
+        from qsat import deployment
+        from qsat.training import build_model_from_config, parse_config_file
+
+        cfg = tiny_config("q8.cfg", bits="8", act_bits="8")
+        model = build_model_from_config(parse_config_file(cfg), (3, 32, 32), 10)
+        deployment.save_checkpoint(model, tmp_path / "q8.ckpt")
+        deployment.save_folded(deployment.fold_bn(model), tmp_path / "folded.ckpt")
+        return cfg, str(tmp_path / "q8.ckpt"), str(tmp_path / "folded.ckpt")
+
+    @pytest.mark.parametrize("command, init", [
+        ("train", "model"), ("eval", "model"), ("eval", "folded"),
+        ("diagnose", "model"), ("fold", "model"),
+    ], ids=["train", "eval-model", "eval-folded", "diagnose", "fold"])
+    def test_each_input_is_read_once(self, tmp_path, inputs, capsys, monkeypatch,
+                                     command, init):
+        from qsat import data, deployment, training
+
+        cfg, model_ckpt, folded_ckpt = inputs
+        reads = {"dataset": 0, "checkpoint": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                reads[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # training binds load_dataset at import; patch it where each caller looks
+        monkeypatch.setattr(data, "load_dataset", counted("dataset", data.load_dataset))
+        monkeypatch.setattr(training, "load_dataset", counted("dataset", training.load_dataset))
+        monkeypatch.setattr(deployment, "load_checkpoint",
+                            counted("checkpoint", deployment.load_checkpoint))
+        ckpt = model_ckpt if init == "model" else folded_ckpt
+        out = ["--out", str(tmp_path / "out")] if command in ("train", "fold") else []
+        code, _, _ = run_cli(capsys, command, "--config", cfg, "--init", ckpt, *out)
+        assert code in (0, 1)  # diagnose exits 1 on WARN/FAIL verdicts
+        assert reads == {"dataset": 1, "checkpoint": 1}
+
+    @pytest.mark.parametrize("command", ["train", "diagnose", "fold"])
+    def test_folded_file_is_exit_two_outside_eval(self, tmp_path, inputs, capsys, command):
+        cfg, _, folded_ckpt = inputs
+        code, _, err = run_cli(capsys, command, "--config", cfg, "--init", folded_ckpt,
+                               "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "expected a model checkpoint, got 'folded'" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "diagnose", "fold"])
+    def test_config_hash_mismatch_warns_once(self, tmp_path, inputs, capsys, caplog,
+                                             command):
+        from qsat import deployment
+
+        cfg, model_ckpt, _ = inputs
+        ckpt = deployment.load_checkpoint(model_ckpt)
+        ckpt.manifest["config_hash"] = "0" * 16  # written under some other config
+        deployment._write_container(model_ckpt, ckpt.manifest,
+                                    [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]])
+        out = ["--out", str(tmp_path / "out")] if command in ("train", "fold") else []
+        code, _, _ = run_cli(capsys, command, "--config", cfg, "--init", model_ckpt, *out)
+        assert code in (0, 1)
+        warnings = [r for r in caplog.records if "different config" in r.getMessage()]
+        assert len(warnings) == 1
+
+    def test_empty_validation_split_is_exit_three(self, tmp_path, capsys):
+        from qsat import deployment
+        from qsat.training import build_model_from_config, parse_config_file
+
+        rng = np.random.default_rng(3)
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        for split, count in (("train", 20), ("t10k", 0)):
+            write_idx(mnist / f"{split}-images-idx3-ubyte",
+                      rng.integers(0, 256, (count, 28, 28)))
+            write_idx(mnist / f"{split}-labels-idx1-ubyte", np.arange(count) % 10)
+        cfg = tmp_path / "q8.cfg"
+        cfg.write_text(TINY.format(bits="8", act_bits="8").replace("blobs32", "mnist"))
+        model = build_model_from_config(parse_config_file(cfg), (1, 28, 28), 10)
+        deployment.save_checkpoint(model, tmp_path / "q8.ckpt")
+        deployment.save_folded(deployment.fold_bn(model), tmp_path / "folded.ckpt")
+        for name in ("q8.ckpt", "folded.ckpt"):
+            code, _, err = run_cli(capsys, "eval", "--config", str(cfg), "--dataset", str(mnist),
+                                   "--init", str(tmp_path / name))
+            assert code == 3, name
+            assert "dataset error" in err
+
+
 class TestSampleConfigs:
     @pytest.mark.parametrize(
         "name", ["fp", "clamp", "clamp_sat", "q4_legacy_pact", "q4_cg_pact",

@@ -1,7 +1,8 @@
 """Print the sha256 of every file that ``qsat train`` writes for the three
 ``perfbench/configs`` runs and two short runs derived from them, of the file
-``qsat fold`` writes for the 4-bit run, of what ``qsat diagnose`` prints for
-each run, and of the folded model's ``forward_int`` logits and
+``qsat fold`` writes for the 4-bit run, of what ``qsat eval`` prints for the
+4-bit run's checkpoint and for that folded file, of what ``qsat diagnose``
+prints for each run, and of the folded model's ``forward_int`` logits and
 ``forward_float`` logits and margins, so two checkouts can be compared by a
 diff.
 
@@ -98,6 +99,12 @@ def main() -> int:
             if name == FOLDED_RUN:
                 qsat("fold", name, "--init", checkpoint(name),
                      "--out", os.path.join(tmp, "fold"), "--force")
+                eval_dir = Path(tmp, "eval")
+                eval_dir.mkdir()
+                for kind, path in (("model", checkpoint(name)),
+                                   ("folded", os.path.join(tmp, "fold", "folded.ckpt"))):
+                    done = qsat("eval", name, "--init", path)
+                    (eval_dir / f"{name}.{kind}.stdout").write_bytes(done.stdout)
                 outputs = Path(tmp, "folded_outputs")
                 outputs.mkdir()
                 subprocess.run([sys.executable, "-c", FOLDED_OUTPUTS, str(configs[name]),
