@@ -33,16 +33,20 @@ def _setup_threads() -> None:
 
 
 def _resolve_out_dir(out: str, force: bool) -> Path:
-    """Never silently overwrite an existing run: suffix unless --force."""
+    """The output directory, which the caller makes once its inputs have
+    loaded.  Never silently overwrite an existing run: suffix unless --force.
+    """
+    from .training import ConfigError
+
     base = Path(out)
+    if base.exists() and not base.is_dir():
+        raise ConfigError(f"output path {base} exists and is not a directory")
     if force or not base.exists() or not any(base.iterdir()):
-        base.mkdir(parents=True, exist_ok=True)
         return base
     i = 1
     while True:
         candidate = Path(f"{out}-{i}")
-        if not candidate.exists() or not any(candidate.iterdir()):
-            candidate.mkdir(parents=True, exist_ok=True)
+        if not candidate.exists() or (candidate.is_dir() and not any(candidate.iterdir())):
             print(
                 f"output directory {base} is not empty; writing to {candidate}",
                 file=sys.stderr,
@@ -127,7 +131,6 @@ def cmd_train(args) -> int:
         print(f"training diverged: {exc}", file=sys.stderr)
         _emit({"command": "train", "status": "diverged", "out": str(out_dir)})
         return 4
-    save_fn(result.model, out_dir / "checkpoint.ckpt")
     _emit(
         {
             "command": "train",
@@ -204,6 +207,7 @@ def cmd_study(args) -> int:
         header = "bits,ratio"
         path = out_dir / "quant_var.csv"
     lines = [header] + [f"{x},{ratio!r}" for x, ratio in rows]
+    out_dir.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     _emit({"command": "study", "status": "ok", "name": args.name, "csv": str(path)})
     return 0
@@ -216,6 +220,7 @@ def cmd_fold(args) -> int:
     _, _, model = training.open_model(cfg, ckpt.tensors)
     out_dir = _resolve_out_dir(args.out or "folded", args.force)
     folded = deployment.fold_bn(model)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "folded.ckpt"
     deployment.save_folded(folded, path, config_hash=training.config_hash(cfg))
     _emit({"command": "fold", "status": "ok", "out": str(path)})

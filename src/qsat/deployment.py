@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, _conv_extent, _images_per_chunk, _lower_range, no_grad
-from .quant import PactState, RescaleMode, dorefa_clamp, rescale_scalar
+from .tensor import ShapeError, _conv_extent, _images_per_chunk, _lower_range
+from .quant import PactState, RescaleMode, rescale_scalar, weight_grid
 from .network import BatchNorm2d, Pool
 
 __all__ = [
@@ -147,8 +147,11 @@ def _check_manifest(path, manifest) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a container; returns manifest plus tensor arrays."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror}") from exc
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a QSAT checkpoint (bad magic)")
     version = int.from_bytes(blob[4:8], "little")
@@ -185,11 +188,16 @@ def load_checkpoint(path) -> Checkpoint:
 
 def load_model_state(model, tensors: dict[str, np.ndarray]) -> None:
     """``model.load_state``, reporting tensors that do not fit the model (a
-    missing name or another shape) as ``CheckpointError``."""
+    missing name or another shape), and an all-zero weight of a layer whose
+    scheme clamps it, as ``CheckpointError``."""
     try:
         model.load_state(tensors)
     except (KeyError, ShapeError) as exc:
         raise CheckpointError(exc.args[0]) from exc
+    for info in model.linear_infos():
+        if info.layer.scheme is not None and not np.any(info.layer.w.data):
+            raise CheckpointError(f"tensor '{info.name}.weight' is all zero; "
+                                  "the weight clamp needs a nonzero entry")
 
 
 def check_model_checkpoint(path, ckpt: Checkpoint, expect_hash: str | None) -> None:
@@ -415,11 +423,9 @@ def _layer_plan(layer: FoldedLayer, exact: bool):
 def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:
     """Quantizer grid indices, level count, and detached rescale factor.
 
-    The index math goes through the same rounding kernel as the training
-    quantizer so the folded grid is bit-identical to the unfolded one.
+    The grid is the training quantizer's own ``weight_grid``, so the folded
+    weights are bit-identical to the unfolded ones.
     """
-    from .quant import _qk_array
-
     scheme = layer.scheme
     if scheme is None or not scheme.is_quantized:
         raise FoldError(
@@ -427,16 +433,13 @@ def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:
             "integer weight grid"
         )
     levels = scheme.levels
-    with no_grad():
-        wt = dorefa_clamp(layer.w).data
-    qvals = _qk_array(np.clip(wt, 0.0, 1.0), levels)
-    idx = np.rint(qvals.astype(np.float64) * levels)
-    q_signed = (qvals * 2.0 - 1.0).astype(layer.w.data.dtype)
+    unit, _, _ = weight_grid(layer.w.data, scheme.bits)
+    idx = np.rint(unit.astype(np.float64) * levels)
     factor = 1.0
-    if scheme.rescale is RescaleMode.CONSTANT:
-        factor = 1.0 / rescale_scalar(q_signed, scheme, layer.w)
-    elif scheme.rescale is RescaleMode.STDDEV:
-        factor = rescale_scalar(q_signed, scheme, layer.w)
+    if scheme.rescale is not RescaleMode.NONE:
+        factor = rescale_scalar(unit * 2.0 - 1.0, scheme, layer.w)
+        if scheme.rescale is RescaleMode.CONSTANT:
+            factor = 1.0 / factor
     return idx, levels, factor
 
 

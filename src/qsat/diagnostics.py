@@ -18,8 +18,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .tensor import Tensor, mean_square_value, no_grad
-from .quant import RescaleMode, dorefa_clamp, quantize_weight, signed_clamped
+from .tensor import mean_square_value, no_grad
+from .quant import RescaleMode, weight_grid
 
 __all__ = [
     "LayerStats",
@@ -254,9 +254,8 @@ def clamp_variance_study(
         if n <= 0:
             raise ValueError(f"neuron counts must be positive, got {n}")
         rng = np.random.default_rng([seed, int(n)])
-        w = Tensor(rng.normal(0.0, 1.0 / math.sqrt(n), size=samples))
-        with no_grad():
-            clamped = signed_clamped(dorefa_clamp(w))
+        w = rng.normal(0.0, 1.0 / math.sqrt(n), size=samples)
+        clamped = weight_grid(w, None)[0] * 2.0 - 1.0
         rows.append((int(n), mean_square_value(clamped) / mean_square_value(w)))
     return rows
 
@@ -270,16 +269,14 @@ def quant_variance_study(
     sqrt(mean_square(quantized) / mean_square(clamped)) per bit-width.
     """
     rng = np.random.default_rng([seed, int(n)])
-    w = Tensor(rng.normal(0.0, 1.0 / math.sqrt(n), size=samples))
+    w = rng.normal(0.0, 1.0 / math.sqrt(n), size=samples)
+    base = mean_square_value(weight_grid(w, None)[0] * 2.0 - 1.0)
     rows = []
-    with no_grad():
-        wt = dorefa_clamp(w)
-        base = mean_square_value(signed_clamped(wt))
-        for b in b_values:
-            if b < 1:
-                raise ValueError(f"bit-widths must be >= 1, got {b}")
-            q = quantize_weight(wt, int(b))
-            rows.append((int(b), math.sqrt(mean_square_value(q) / base)))
+    for b in b_values:
+        if b < 1:
+            raise ValueError(f"bit-widths must be >= 1, got {b}")
+        q = weight_grid(w, int(b))[0] * 2.0 - 1.0
+        rows.append((int(b), math.sqrt(mean_square_value(q) / base)))
     return rows
 
 

@@ -1,6 +1,6 @@
-"""Quantizer math: weight clamping, uniform rounding with straight-through
-gradients, detached rescaling, and clipped activation quantization with a
-trainable clipping level.
+"""Quantizer math: the effective weight (clamping, uniform rounding with a
+straight-through gradient, detached rescaling) as one op, and clipped
+activation quantization with a trainable clipping level.
 
 Two backward modes exist for the clipping level: CG includes the rounding
 error term in the gradient, LEGACY ignores it (gradient zero below the
@@ -10,7 +10,6 @@ clip).  Both agree exactly on the saturated region.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ from .tensor import (
     _record,
     is_grad_enabled,
     mean_square_value,
-    register_custom_backward,
 )
 
 __all__ = [
@@ -31,12 +29,8 @@ __all__ = [
     "PactBackward",
     "PactState",
     "DegenerateLayerError",
-    "qk",
-    "dorefa_clamp",
-    "signed_clamped",
-    "quantize_weight",
+    "weight_grid",
     "rescale_scalar",
-    "rescale",
     "effective_weight",
     "pact_quantize",
     "ALPHA_INIT",
@@ -45,8 +39,6 @@ __all__ = [
 
 ALPHA_INIT = 8.0
 ALPHA_FLOOR = 1e-3
-
-_QK_DOMAIN_TOL = 1e-6
 
 
 class DegenerateLayerError(ValueError):
@@ -118,66 +110,25 @@ class PactState:
         return float(self.alpha.data)
 
 
-def _round_half_up(v: np.ndarray) -> np.ndarray:
-    # ties round half away from zero; inputs are >= 0 here so this is
-    # plain half-up, and it is bit-exact across platforms
-    return np.floor(v + 0.5)
+def weight_grid(w: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The clamped weight on [0, 1], ``tanh(w)``, and ``max|tanh(w)|``.
 
-
-def _qk_array(x: np.ndarray, levels: int) -> np.ndarray:
-    return _round_half_up(x * levels) / levels
-
-
-@functools.lru_cache(maxsize=None)
-def _qk_op(bits: int):
-    a = 2**bits - 1
-
-    def qk_forward(x):
-        return _qk_array(np.clip(x, 0.0, 1.0), a)
-
-    def qk_backward(g, x):
-        # straight-through: rounding differentiates as identity on [0, 1]
-        return g
-
-    return register_custom_backward(qk_forward, qk_backward, name=f"qk{bits}")
-
-
-def qk(x: Tensor, bits: int) -> Tensor:
-    """Uniform quantizer on [0, 1] with 2^bits - 1 levels, STE backward."""
-    if bits < 1:
-        raise DomainError(f"qk requires bits >= 1, got {bits}")
-    lo = float(x.data.min(initial=0.0))
-    hi = float(x.data.max(initial=0.0))
-    if lo < -_QK_DOMAIN_TOL or hi > 1.0 + _QK_DOMAIN_TOL:
-        raise DomainError(f"qk input outside [0, 1]: min {lo}, max {hi}")
-    return _qk_op(bits)(x)
-
-
-def dorefa_clamp(w: Tensor) -> Tensor:
-    """Map raw weights into [0, 1] by tanh-normalizing with the detached
-    per-layer max of |tanh|.  Raises DegenerateLayerError on all-zero input.
+    The clamp is ``tanh(w) / (2 max|tanh(w)|) + 1/2``, with the per-layer
+    max a detached constant.  A quantized ``bits`` then rounds it half up
+    onto 2^bits - 1 uniform levels; ``None`` (full precision) does not.
+    Raises DegenerateLayerError on an all-zero weight.
     """
-    t = np.tanh(w.data)
+    t = np.tanh(w)
     m = float(np.max(np.abs(t)))
     if m == 0.0:
         raise DegenerateLayerError("all-zero weight tensor cannot be clamped")
-    out = Tensor(t / (2.0 * m) + 0.5)
-
-    def backward(g):
-        # the per-layer max is a detached constant; only tanh' flows
-        return (g * (1.0 - t * t) / (2.0 * m),)
-
-    return _record("dorefa_clamp", out, (w,), backward)
-
-
-def signed_clamped(wt: Tensor) -> Tensor:
-    """Affine map of [0, 1] clamped weights onto [-1, 1]."""
-    return wt * 2.0 - 1.0
-
-
-def quantize_weight(wt: Tensor, bits: int) -> Tensor:
-    """Quantized weights on the grid {-1, -1 + 2/a, ..., 1}."""
-    return qk(wt, bits) * 2.0 - 1.0
+    unit = t / (2.0 * m) + 0.5
+    if bits is not None:
+        # |t| <= m keeps unit on [0, 1]; ties round half up, bit-exact
+        # across platforms
+        levels = 2**bits - 1
+        unit = np.floor(np.clip(unit, 0.0, 1.0) * levels + 0.5) / levels
+    return unit, t, m
 
 
 def rescale_scalar(q: Tensor | np.ndarray, scheme: QuantScheme,
@@ -199,28 +150,31 @@ def rescale_scalar(q: Tensor | np.ndarray, scheme: QuantScheme,
     return math.sqrt(ms_w / ms_q)
 
 
-def rescale(q: Tensor, scheme: QuantScheme, w: Tensor) -> Tensor:
-    """The effective weight ``q`` of the raw weight ``w``, rescaled as the
-    scheme says."""
-    if scheme.rescale is RescaleMode.NONE:
-        return q
-    scalar = rescale_scalar(q, scheme, w)
-    return q / scalar if scheme.rescale is RescaleMode.CONSTANT else q * scalar
-
-
 def effective_weight(w: Tensor, scheme: QuantScheme) -> Tensor:
-    """Weight actually used by the linear op: clamp, quantize, rescale.
+    """Weight actually used by the linear op, as one recorded op: the
+    ``weight_grid`` of ``w`` mapped onto [-1, 1], then rescaled.
 
-    Full precision keeps the clamped weights on [-1, 1]; quantized schemes
-    round on the [0, 1] grid first.  When quantized, rescaling uses the
-    statistics of the post-quantization tensor.
+    When rescaled, the scalar comes from the statistics of the
+    post-quantization tensor.  The backward is straight-through across the
+    rounding and holds the scalar and the per-layer max fixed, so only the
+    rescale, the affine map and tanh' act on the gradient.
     """
-    wt = dorefa_clamp(w)
-    if scheme.is_quantized:
-        eff = quantize_weight(wt, scheme.bits)
-    else:
-        eff = signed_clamped(wt)
-    return rescale(eff, scheme, w)
+    unit, t, m = weight_grid(w.data, scheme.bits)
+    eff = unit * 2.0 - 1.0
+    mode = scheme.rescale
+    if mode is not RescaleMode.NONE:
+        scalar = rescale_scalar(eff, scheme, w)
+        eff = eff / scalar if mode is RescaleMode.CONSTANT else eff * scalar
+    out = Tensor(eff)
+
+    def backward(g):
+        if mode is RescaleMode.CONSTANT:
+            g = g / scalar
+        elif mode is RescaleMode.STDDEV:
+            g = g * scalar
+        return (g * 2.0 * (1.0 - t * t) / (2.0 * m),)
+
+    return _record("effective_weight", out, (w,), backward)
 
 
 def pact_quantize(x: Tensor, state: PactState) -> Tensor:
@@ -229,7 +183,8 @@ def pact_quantize(x: Tensor, state: PactState) -> Tensor:
     Gradient w.r.t. the input is straight-through inside the clip window.
     Gradient w.r.t. alpha depends on the mode:
 
-    * CG:     qk(xc/alpha) - xc/alpha below the clip, 1 at or above it
+    * CG:     q - xc/alpha below the clip, where q is xc/alpha rounded
+              onto the grid, and 1 at or above it
     * LEGACY: 0 below the clip, 1 at or above it
 
     x == alpha belongs to the saturated branch.  A NaN input is in neither

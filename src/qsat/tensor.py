@@ -1,9 +1,11 @@
 """Dense-tensor algebra with reverse-mode automatic differentiation.
 
 A deliberately small engine: numpy float32/float64 arrays, a global tape
-recorded in construction order, and a registration hook for ops that need
-hand-written backward rules (straight-through rounding, detached scale
-factors, fused normalization gradients).
+recorded in construction order, and the ops the models and the quantizers
+build on.  Fused ops elsewhere (the effective weight, activation
+quantization, batch normalization) record their own hand-written backward
+rules with ``_record``; ``register_custom_backward`` wraps a pair of array
+functions as such an op.
 
 The tape is freed after every ``backward()`` call; training loops rebuild
 the graph each step.  Reductions accumulate in float64 regardless of the
@@ -41,8 +43,6 @@ __all__ = [
     "conv2d",
     "avg_pool2d",
     "relu",
-    "tanh",
-    "sqrt",
     "mean_square",
     "mean_square_value",
     "register_custom_backward",
@@ -126,13 +126,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """View of the same storage, cut out of the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output; frees the tape."""
         if self.data.size != 1:
@@ -197,29 +190,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return tensor_sum(self)
 
-    def mean_square(self):
-        return mean_square(self)
-
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def relu(self):
-        return relu(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def sqrt(self):
-        return sqrt(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
@@ -238,17 +213,11 @@ def _record(op: str, out: Tensor, parents: tuple[Tensor, ...], backward) -> Tens
     return out
 
 
-def _tape_size() -> int:
-    return len(_tape)
-
-
 # -- broadcasting -------------------------------------------------------
 #
-# Supported operand pairs for elementwise ops:
-#   * identical shapes
-#   * tensor vs scalar (0-d)
-#   * NxCxHxW tensor vs per-channel vector of length C
-# Anything else is a ShapeError; general broadcasting is out of scope.
+# Supported operand pairs for elementwise ops: identical shapes, and a
+# tensor against a scalar (0-d).  Anything else is a ShapeError; general
+# broadcasting is out of scope.
 
 
 def _broadcast_views(a: Tensor, b: Tensor):
@@ -259,20 +228,13 @@ def _broadcast_views(a: Tensor, b: Tensor):
         return a.data, b.data, None, "scalar"
     if sa == ():
         return a.data, b.data, "scalar", None
-    if len(sa) == 4 and len(sb) == 1 and sb[0] == sa[1]:
-        return a.data, b.data.reshape(1, sb[0], 1, 1), None, "channel"
-    if len(sb) == 4 and len(sa) == 1 and sa[0] == sb[1]:
-        return a.data.reshape(1, sa[0], 1, 1), b.data, "channel", None
     raise ShapeError(f"incompatible shapes for elementwise op: {sa} vs {sb}")
 
 
 def _reduce_grad(g: np.ndarray, mode: str | None, shape: tuple[int, ...]) -> np.ndarray:
     if mode is None:
         return g
-    if mode == "scalar":
-        return np.asarray(np.sum(g, dtype=np.float64)).reshape(shape)
-    # per-channel vector against NxCxHxW
-    return np.sum(g, axis=(0, 2, 3), dtype=np.float64)
+    return np.asarray(np.sum(g, dtype=np.float64)).reshape(shape)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -321,11 +283,6 @@ def div(a: Tensor, b) -> Tensor:
     return _record("div", out, (a, b), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    return _record("neg", out, (a,), lambda g: (-g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product with the standard transpose-product backward."""
     if a.ndim != 2 or b.ndim != 2:
@@ -352,28 +309,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.data > 0),)
 
     return _record("relu", out, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    out = Tensor(t)
-
-    def backward(g):
-        return (g * (1.0 - t * t),)
-
-    return _record("tanh", out, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if a.data.size and a.data.min() < 0:
-        raise DomainError("sqrt of negative values")
-    r = np.sqrt(a.data)
-    out = Tensor(r)
-
-    def backward(g):
-        return (g / (2.0 * r),)
-
-    return _record("sqrt", out, (a,), backward)
 
 
 def tensor_sum(a: Tensor) -> Tensor:

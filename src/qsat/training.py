@@ -195,10 +195,13 @@ def parse_config(text: str) -> TrainConfig:
 
 
 def parse_config_file(path) -> TrainConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
+    return parse_config(text)
 
 
 def config_hash(cfg: TrainConfig) -> str:

@@ -100,6 +100,34 @@ class TestTrainCommand:
                                "--out", str(tmp_path / "x"))
         assert code == 3
 
+    def test_dataset_error_leaves_no_run_directory(self, tmp_path, capsys):
+        # 64 validation images do not split evenly over blobs32's 10 classes
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(TINY.format(bits="fp", act_bits="fp").replace("val_size=80",
+                                                                          "val_size=64"))
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "fp"))
+        assert code == 3
+        assert "dataset error" in err
+        assert not (tmp_path / "fp").exists()
+
+    def test_checkpoint_written_once_per_epoch(self, tmp_path, tiny_config, capsys,
+                                               monkeypatch):
+        from qsat import deployment
+
+        writes = []
+        save = deployment.save_checkpoint
+
+        def counted(model, path, **kwargs):
+            writes.append(path)
+            save(model, path, **kwargs)
+
+        monkeypatch.setattr(deployment, "save_checkpoint", counted)
+        code, summary, _ = run_cli(capsys, "train", "--config", tiny_config(),
+                                   "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert writes == [tmp_path / "run" / "checkpoint.ckpt"] * 2  # epochs=2
+
     def test_same_seed_twice_is_byte_identical(self, tmp_path, tiny_config, capsys):
         cfg = tiny_config()
         for name in ("a", "b"):
@@ -398,6 +426,20 @@ class TestCheckpointFit:
         assert code == 2
         assert "checkpoint error" in err and "fc.weight" in err
 
+    @pytest.mark.parametrize("name", ["eval", "diagnose", "fold", "train"])
+    def test_all_zero_clamped_weight_is_exit_two(self, tmp_path, tiny_config, capsys, name):
+        from qsat.deployment import save_checkpoint
+        from qsat.training import build_model_from_config, parse_config_file
+
+        cfg = tiny_config("q4.cfg", bits="4", act_bits="4")
+        model = build_model_from_config(parse_config_file(tiny_config()), (3, 32, 32), 10)
+        next(i for i in model.linear_infos() if i.name == "block3").layer.w.data[...] = 0.0
+        save_checkpoint(model, tmp_path / "zero.ckpt")
+        code, _, err = run_cli(capsys, *self.command(name, cfg, str(tmp_path / "zero.ckpt"),
+                                                     tmp_path))
+        assert code == 2
+        assert "checkpoint error" in err and "block3.weight" in err
+
     def test_classes_seen_only_in_validation_fit_every_command(self, tmp_path, capsys):
         # train holds labels 0-2 and test labels 0-3: every command sizes
         # the classifier for four classes
@@ -424,6 +466,46 @@ class TestCheckpointFit:
         assert run_cli(capsys, "eval", *loads)[0] == 0
         assert run_cli(capsys, "diagnose", *loads)[0] in (0, 1)
         assert run_cli(capsys, "fold", *loads, "--out", str(tmp_path / "folded"))[0] == 0
+
+
+class TestUnreadableInputs:
+    """An input file that cannot be read is a config or checkpoint error
+    (exit 2), not a traceback."""
+
+    def test_missing_init_is_exit_two(self, tmp_path, tiny_config, capsys):
+        code, _, err = run_cli(capsys, "eval", "--config", tiny_config(),
+                               "--init", str(tmp_path / "absent.ckpt"))
+        assert code == 2
+        assert "checkpoint error" in err and "absent.ckpt" in err
+
+    def test_init_directory_is_exit_two(self, tmp_path, tiny_config, capsys):
+        code, _, err = run_cli(capsys, "train", "--config", tiny_config(),
+                               "--init", str(tmp_path), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "checkpoint error" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_directory_is_exit_two(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "train", "--config", str(tmp_path),
+                               "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "config error" in err
+
+    def test_config_not_utf8_is_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(TINY.format(bits="fp", act_bits="fp").encode() + b"# caf\xe9\n")
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg),
+                               "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "config error" in err and "UTF-8" in err
+
+    def test_study_out_on_a_file_is_exit_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code, _, err = run_cli(capsys, "study", "clamp-var", "--out", str(taken))
+        assert code == 2
+        assert "config error" in err and "not a directory" in err
+        assert taken.read_text() == "not a directory\n"
 
 
 def write_idx(path, array):

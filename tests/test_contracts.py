@@ -270,22 +270,22 @@ FORWARD_TAPES = {
         reshape matmul
     """,
     ("convnet-bn", "fp"): """
-        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
-        dorefa_clamp mul sub conv2d batch_norm2d relu
-        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
-        dorefa_clamp mul sub conv2d batch_norm2d relu
-        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
-        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
-        reshape dorefa_clamp mul sub div matmul
+        effective_weight conv2d batch_norm2d relu avg_pool2d
+        effective_weight conv2d batch_norm2d relu
+        effective_weight conv2d batch_norm2d relu avg_pool2d
+        effective_weight conv2d batch_norm2d relu
+        effective_weight conv2d batch_norm2d relu avg_pool2d
+        effective_weight conv2d batch_norm2d relu avg_pool2d
+        reshape effective_weight matmul
     """,
     ("convnet-bn", 4): """
-        dorefa_clamp qk8 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
-        reshape dorefa_clamp qk8 mul sub div matmul
+        effective_weight conv2d batch_norm2d pact_quantize avg_pool2d
+        effective_weight conv2d batch_norm2d pact_quantize
+        effective_weight conv2d batch_norm2d pact_quantize avg_pool2d
+        effective_weight conv2d batch_norm2d pact_quantize
+        effective_weight conv2d batch_norm2d pact_quantize avg_pool2d
+        effective_weight conv2d batch_norm2d pact_quantize avg_pool2d
+        reshape effective_weight matmul
     """,
     ("convnet-nobn-tail", "raw"): """
         conv2d batch_norm2d relu avg_pool2d
@@ -297,22 +297,22 @@ FORWARD_TAPES = {
         reshape matmul
     """,
     ("convnet-nobn-tail", "fp"): """
-        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
-        dorefa_clamp mul sub conv2d batch_norm2d relu
-        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
-        dorefa_clamp mul sub conv2d batch_norm2d relu
-        dorefa_clamp mul sub conv2d batch_norm2d relu avg_pool2d
-        dorefa_clamp mul sub div conv2d relu avg_pool2d
-        reshape dorefa_clamp mul sub div matmul
+        effective_weight conv2d batch_norm2d relu avg_pool2d
+        effective_weight conv2d batch_norm2d relu
+        effective_weight conv2d batch_norm2d relu avg_pool2d
+        effective_weight conv2d batch_norm2d relu
+        effective_weight conv2d batch_norm2d relu avg_pool2d
+        effective_weight conv2d relu avg_pool2d
+        reshape effective_weight matmul
     """,
     ("convnet-nobn-tail", 4): """
-        dorefa_clamp qk8 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize
-        dorefa_clamp qk4 mul sub conv2d batch_norm2d pact_quantize avg_pool2d
-        dorefa_clamp qk4 mul sub div conv2d pact_quantize avg_pool2d
-        reshape dorefa_clamp qk8 mul sub div matmul
+        effective_weight conv2d batch_norm2d pact_quantize avg_pool2d
+        effective_weight conv2d batch_norm2d pact_quantize
+        effective_weight conv2d batch_norm2d pact_quantize avg_pool2d
+        effective_weight conv2d batch_norm2d pact_quantize
+        effective_weight conv2d batch_norm2d pact_quantize avg_pool2d
+        effective_weight conv2d pact_quantize avg_pool2d
+        reshape effective_weight matmul
     """,
     ("preresnet-toy", "raw"): """
         conv2d avg_pool2d
@@ -323,20 +323,20 @@ FORWARD_TAPES = {
         batch_norm2d relu avg_pool2d reshape matmul
     """,
     ("preresnet-toy", "fp"): """
-        dorefa_clamp mul sub div conv2d avg_pool2d
-        batch_norm2d relu dorefa_clamp mul sub conv2d
-        batch_norm2d relu dorefa_clamp mul sub div conv2d add avg_pool2d
-        batch_norm2d relu dorefa_clamp mul sub conv2d
-        batch_norm2d relu dorefa_clamp mul sub div conv2d add
-        batch_norm2d relu avg_pool2d reshape dorefa_clamp mul sub div matmul
+        effective_weight conv2d avg_pool2d
+        batch_norm2d relu effective_weight conv2d
+        batch_norm2d relu effective_weight conv2d add avg_pool2d
+        batch_norm2d relu effective_weight conv2d
+        batch_norm2d relu effective_weight conv2d add
+        batch_norm2d relu avg_pool2d reshape effective_weight matmul
     """,
     ("preresnet-toy", 4): """
-        dorefa_clamp qk8 mul sub div conv2d avg_pool2d
-        batch_norm2d pact_quantize dorefa_clamp qk4 mul sub conv2d
-        batch_norm2d pact_quantize dorefa_clamp qk4 mul sub div conv2d add avg_pool2d
-        batch_norm2d pact_quantize dorefa_clamp qk4 mul sub conv2d
-        batch_norm2d pact_quantize dorefa_clamp qk4 mul sub div conv2d add
-        batch_norm2d pact_quantize avg_pool2d reshape dorefa_clamp qk8 mul sub div matmul
+        effective_weight conv2d avg_pool2d
+        batch_norm2d pact_quantize effective_weight conv2d
+        batch_norm2d pact_quantize effective_weight conv2d add avg_pool2d
+        batch_norm2d pact_quantize effective_weight conv2d
+        batch_norm2d pact_quantize effective_weight conv2d add
+        batch_norm2d pact_quantize avg_pool2d reshape effective_weight matmul
     """,
 }
 

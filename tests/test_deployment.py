@@ -144,6 +144,24 @@ class TestCheckpointContainer:
         # alphas keep their fresh initialization
         assert q.layer_table[0].find(PactState).alpha_value == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("bits", ["fp", 4])
+    def test_all_zero_clamped_weight_rejected(self, bits):
+        state = {name: arr.copy() for name, _, arr in build_preset(
+            "convnet-bn", weight_bits="raw", seed=6).state_arrays()}
+        state["block3.weight"][...] = 0.0
+        model = build_preset("convnet-bn", weight_bits=bits, act_bits=4,
+                             rescale=RescaleMode.CONSTANT, seed=60)
+        with pytest.raises(dep.CheckpointError, match="'block3.weight' is all zero"):
+            dep.load_model_state(model, state)
+
+    def test_all_zero_raw_weight_loads(self):
+        # a raw layer uses its weight as it is; nothing divides by its spread
+        raw = build_preset("convnet-bn", weight_bits="raw", seed=6)
+        state = {name: arr.copy() for name, _, arr in raw.state_arrays()}
+        state["block3.weight"][...] = 0.0
+        dep.load_model_state(raw, state)
+        assert not np.any(raw.layer_table[2].layer.w.data)
+
 
 class TestFoldBn:
     def test_transparent_bn_folds_to_plain_clip(self):

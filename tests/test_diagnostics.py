@@ -244,11 +244,11 @@ class TestClampVarianceStudy:
         # +-1, the ratio approaches 1/mean_square and stays finite
         rng = np.random.default_rng(1)
         w = 0.5 + 1e-4 * rng.standard_normal(10_000)
-        from qsat.quant import dorefa_clamp, signed_clamped
+        from qsat.quant import QuantScheme, effective_weight
         from qsat.tensor import mean_square_value, no_grad
 
         with no_grad():
-            out = signed_clamped(dorefa_clamp(Tensor(w)))
+            out = effective_weight(Tensor(w), QuantScheme(bits=None))
         ratio = mean_square_value(out) / mean_square_value(w)
         assert np.isfinite(ratio)
         assert ratio <= 1.0 / mean_square_value(w)

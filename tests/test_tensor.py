@@ -17,8 +17,6 @@ from qsat.tensor import (
     no_grad,
     register_custom_backward,
     relu,
-    sqrt,
-    tanh,
 )
 from qsat.network import BatchNorm2d, build_preset
 from qsat.training import cross_entropy
@@ -472,18 +470,12 @@ class TestElementwiseAndPooling:
         relu(t).sum().backward()
         npt.assert_array_equal(t.grad, [0.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize(
-        "fn", [tanh, sqrt, relu], ids=["tanh", "sqrt", "relu"]
-    )
+    @pytest.mark.parametrize("fn", [relu], ids=["relu"])
     def test_gradients_match_finite_differences(self, fn):
-        # positive offset keeps sqrt in-domain and relu away from its kink
+        # positive offset keeps relu away from its kink
         point = Tensor(np.abs(rand(20, seed=21)) + 0.5)
         err = finite_difference_check(lambda t: mean_square(fn(t)), point)
         assert err <= 1e-6
-
-    def test_sqrt_domain(self):
-        with pytest.raises(DomainError):
-            sqrt(Tensor([-1.0]))
 
     def test_avg_pool_preserves_constants(self):
         out = avg_pool2d(Tensor(np.full((1, 2, 4, 4), 3.25)), 2)
@@ -497,18 +489,6 @@ class TestElementwiseAndPooling:
     def test_pool_shape_errors(self):
         with pytest.raises(ShapeError):
             avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)
-
-    def test_channel_broadcast(self):
-        x = Tensor(rand((2, 3, 4, 4), seed=7), requires_grad=True)
-        v = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        (x * v).sum().backward()
-        expected = np.zeros(3)
-        for c in range(3):
-            expected[c] = x.data[:, c].sum()
-        npt.assert_allclose(v.grad, expected, rtol=1e-12)
-        npt.assert_allclose(
-            x.grad, np.broadcast_to(v.data.reshape(1, 3, 1, 1), x.shape)
-        )
 
     def test_unsupported_broadcast_rejected(self):
         with pytest.raises(ShapeError):
@@ -529,14 +509,14 @@ class TestGraphMechanics:
     def test_tape_freed_after_backward(self):
         t = Tensor(np.ones(4), requires_grad=True)
         mean_square(t).backward()
-        assert T._tape_size() == 0
+        assert len(T._tape) == 0
 
     def test_no_grad_records_nothing(self):
         t = Tensor(np.ones(4), requires_grad=True)
         with no_grad():
             out = mean_square(t)
         assert not out.requires_grad
-        assert T._tape_size() == 0
+        assert len(T._tape) == 0
 
     def test_linearity_of_backward(self):
         v = rand(12, seed=31)

@@ -375,7 +375,7 @@ class TestTrainLoop:
     def test_quantized_weights_stay_on_grid(self, tmp_path):
         fp = train(tiny_cfg(epochs=1), out_dir=None)
         from qsat.deployment import save_checkpoint, load_checkpoint
-        from qsat.quant import dorefa_clamp, quantize_weight
+        from qsat.quant import QuantScheme, effective_weight
         from qsat.tensor import no_grad
 
         save_checkpoint(fp.model, tmp_path / "fp.ckpt")
@@ -386,7 +386,7 @@ class TestTrainLoop:
             bits = layer.scheme.bits
             a = 2**bits - 1
             with no_grad():
-                pre = quantize_weight(dorefa_clamp(Tensor(layer.w.data)), bits).data
+                pre = effective_weight(Tensor(layer.w.data), QuantScheme(bits=bits)).data
             idx = (pre.astype(np.float64) + 1.0) * a / 2.0
             npt.assert_allclose(idx, np.rint(idx), atol=1e-3)
 

@@ -2,15 +2,16 @@
 ``perfbench/configs`` runs and two short runs derived from them, of the file
 ``qsat fold`` writes for the 4-bit run, of what ``qsat eval`` prints for the
 4-bit run's checkpoint and for that folded file, of what ``qsat diagnose``
-prints for each run, and of the folded model's ``forward_int`` logits and
-``forward_float`` logits and margins, so two checkouts can be compared by a
-diff.
+prints for each run, of the folded model's ``forward_int`` logits and
+``forward_float`` logits and margins, and of the CSV files of the two
+``qsat study`` commands, so two checkouts can be compared by a diff.
 
-The derived runs cover layer-table paths the three runs miss: a ReLU with
-no BN in front of it (one epoch of ``convnet-nobn-tail`` at full precision)
-and PACT inside residual blocks (one epoch of a 4-bit ``preresnet-toy``
-fine-tune from the raw run).  Their configs are the base configs with some
-keys replaced, written to the temporary directory.
+The derived runs cover paths the three runs miss: a ReLU with no BN in
+front of it (one epoch of ``convnet-nobn-tail`` at full precision), the
+same with the STDDEV rescale, and PACT inside residual blocks (one epoch of
+a 4-bit ``preresnet-toy`` fine-tune from the raw run).  Their configs are
+the base configs with some keys replaced, written to the temporary
+directory.
 
 The folded outputs cover the 640-image validation pool of the 4-bit run's
 dataset (its seed, 10 training images), in batches of its batch size, the
@@ -39,11 +40,15 @@ RUNS = (
     ("raw", "raw_preresnet.cfg", {}, None),
     ("nobn-fp", "fp_convnet.cfg",
      {"preset": "convnet-nobn-tail", "epochs": 1, "warmup_epochs": 0}, None),
+    ("nobn-stddev", "fp_convnet.cfg",
+     {"preset": "convnet-nobn-tail", "epochs": 1, "warmup_epochs": 0, "rescale": "stddev"},
+     None),
     ("preresnet-q4", "q4_convnet.cfg",
      {"preset": "preresnet-toy", "epochs": 1, "warmup_epochs": 0}, "raw"),
 )
 FOLDED_RUN = "q4"
 POOL_IMAGES = 640
+STUDIES = ("clamp-var", "quant-var")
 
 # run with the checkout's src on the path; argv: config, folded file, output
 # directory, pool size
@@ -115,6 +120,10 @@ def main() -> int:
             if done.returncode not in (0, 1):
                 raise SystemExit(f"qsat diagnose on the {name} run exited {done.returncode}")
             (diagnose_dir / f"{name}.stdout").write_bytes(done.stdout)
+        for study in STUDIES:
+            subprocess.run([sys.executable, "-m", "qsat.cli", "study", study,
+                            "--out", os.path.join(tmp, "study", study)],
+                           env=env, cwd=tmp, check=True, stdout=subprocess.DEVNULL)
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
