@@ -39,8 +39,11 @@ def _resolve_out_dir(out: str, force: bool) -> Path:
     from .training import ConfigError
 
     base = Path(out)
-    if base.exists() and not base.is_dir():
-        raise ConfigError(f"output path {base} exists and is not a directory")
+    # the path itself, or the nearest of its parents that exists, must be a
+    # directory: mkdir fails beneath a file
+    nearest = next(p for p in (base, *base.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output path {base}: {nearest} exists and is not a directory")
     if force or not base.exists() or not any(base.iterdir()):
         return base
     i = 1

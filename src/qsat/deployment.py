@@ -23,7 +23,7 @@ import numpy as np
 
 from .tensor import ShapeError, _conv_extent, _images_per_chunk, _lower_range
 from .quant import PactState, RescaleMode, rescale_scalar, weight_grid
-from .network import BatchNorm2d, Pool
+from .network import BN_EPS, BatchNorm2d, Pool
 
 __all__ = [
     "CheckpointError",
@@ -477,7 +477,7 @@ def fold_bn(model) -> FoldedModel:
         idx, w_levels, factor = _weight_grid_indices(conv)
         co = len(idx)
         if bn is not None:
-            sigma = np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+            sigma = np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
             gamma_abs = bn.gamma.data.astype(np.float64) / sigma
             beta_abs = bn.beta.data.astype(np.float64) - gamma_abs * bn.running_mean.astype(np.float64)
         else:

@@ -245,7 +245,7 @@ def clamp_variance_study(
     """Variance amplification of tanh-max clamping vs neuron count.
 
     For each n, draws Gaussian weights with variance 1/n and reports
-    mean_square(clamped) / mean_square(original).
+    mean_square_value(clamped) / mean_square_value(original).
     """
     if samples < 10_000:
         raise ValueError("study needs at least 10000 samples per point")
@@ -266,7 +266,7 @@ def quant_variance_study(
     """Std ratio of quantized vs clamped weights against bit-width.
 
     Gaussian weights with variance 1/n; reports
-    sqrt(mean_square(quantized) / mean_square(clamped)) per bit-width.
+    sqrt(mean_square_value(quantized) / mean_square_value(clamped)) per bit-width.
     """
     rng = np.random.default_rng([seed, int(n)])
     w = rng.normal(0.0, 1.0 / math.sqrt(n), size=samples)

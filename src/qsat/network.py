@@ -102,11 +102,8 @@ class BatchNorm2d:
     then across w (``_channel_sums``).
     """
 
-    def __init__(self, channels: int, momentum: float = BN_MOMENTUM,
-                 eps: float = BN_EPS, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -132,13 +129,13 @@ class BatchNorm2d:
         del x64
         var = np.maximum(var, 0.0)
         self.running_mean = (
-            (1.0 - self.momentum) * self.running_mean + self.momentum * mean
+            (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
         ).astype(self.running_mean.dtype)
         self.running_var = (
-            (1.0 - self.momentum) * self.running_var + self.momentum * var
+            (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         ).astype(self.running_var.dtype)
 
-        sigma = np.sqrt(var + self.eps).astype(rows.dtype)
+        sigma = np.sqrt(var + BN_EPS).astype(rows.dtype)
         xhat = rows - np.tile(mean.astype(rows.dtype), w)
         xhat /= np.tile(sigma, w)
         out = np.multiply(np.tile(gamma.data, w), xhat)
@@ -165,7 +162,7 @@ class BatchNorm2d:
         c, w = self.channels, x.shape[3]
         gamma, beta, mean = self.gamma, self.beta, self.running_mean
         rows = _wide_rows(x.data)
-        inv = (1.0 / np.sqrt(self.running_var.astype(np.float64) + self.eps)).astype(x.dtype)
+        inv = (1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPS)).astype(x.dtype)
         scale = gamma.data * inv
         shift = beta.data - scale * mean
         out = rows * np.tile(scale, w)

@@ -1,16 +1,19 @@
 """Dense-tensor algebra with reverse-mode automatic differentiation.
 
 A deliberately small engine: numpy float32/float64 arrays, a global tape
-recorded in construction order, and the ops the models and the quantizers
-build on.  Fused ops elsewhere (the effective weight, activation
-quantization, batch normalization) record their own hand-written backward
-rules with ``_record``; ``register_custom_backward`` wraps a pair of array
-functions as such an op.
+recorded in construction order, and only the ops a model's forward
+records: ``add`` (same shape, for residual blocks), ``matmul``,
+``reshape``, ``relu``, ``conv2d`` and ``avg_pool2d``.  Fused ops elsewhere
+(the effective weight, activation quantization, batch normalization, the
+loss) record their own hand-written backward rules with ``_record``;
+``register_custom_backward`` wraps a pair of array functions as such an op.
+``finite_difference_check`` compares any scalar function's reverse-mode
+gradient with central differences, and ``mean_square_value`` is the
+weight statistics' second moment, taken off the graph in float64 so that
+it stays stable across layers of very different sizes.
 
 The tape is freed after every ``backward()`` call; training loops rebuild
-the graph each step.  Reductions accumulate in float64 regardless of the
-storage dtype so that variance statistics taken across layers of very
-different sizes stay stable.
+the graph each step.
 
 4-D tensors always have NCHW shape, but convolution and pooling outputs
 and the gradients flowing back into them are channels-last in memory.
@@ -39,11 +42,12 @@ __all__ = [
     "OpConstructionError",
     "no_grad",
     "is_grad_enabled",
+    "add",
     "matmul",
+    "reshape",
+    "relu",
     "conv2d",
     "avg_pool2d",
-    "relu",
-    "mean_square",
     "mean_square_value",
     "register_custom_backward",
     "finite_difference_check",
@@ -167,43 +171,14 @@ class Tensor:
         finally:
             _tape.clear()
 
-    # -- operator sugar -------------------------------------------------
-
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, like=self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def sum(self):
-        return tensor_sum(self)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
-
-def _coerce(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _record(op: str, out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -213,74 +188,12 @@ def _record(op: str, out: Tensor, parents: tuple[Tensor, ...], backward) -> Tens
     return out
 
 
-# -- broadcasting -------------------------------------------------------
-#
-# Supported operand pairs for elementwise ops: identical shapes, and a
-# tensor against a scalar (0-d).  Anything else is a ShapeError; general
-# broadcasting is out of scope.
-
-
-def _broadcast_views(a: Tensor, b: Tensor):
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return a.data, b.data, None, None
-    if sb == ():
-        return a.data, b.data, None, "scalar"
-    if sa == ():
-        return a.data, b.data, "scalar", None
-    raise ShapeError(f"incompatible shapes for elementwise op: {sa} vs {sb}")
-
-
-def _reduce_grad(g: np.ndarray, mode: str | None, shape: tuple[int, ...]) -> np.ndarray:
-    if mode is None:
-        return g
-    return np.asarray(np.sum(g, dtype=np.float64)).reshape(shape)
-
-
-def add(a: Tensor, b) -> Tensor:
-    b = _coerce(b, like=a)
-    da, db, ma, mb = _broadcast_views(a, b)
-    out = Tensor(da + db)
-
-    def backward(g):
-        return (_reduce_grad(g, ma, a.shape), _reduce_grad(g, mb, b.shape))
-
-    return _record("add", out, (a, b), backward)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    b = _coerce(b, like=a)
-    da, db, ma, mb = _broadcast_views(a, b)
-    out = Tensor(da - db)
-
-    def backward(g):
-        return (_reduce_grad(g, ma, a.shape), -_reduce_grad(g, mb, b.shape))
-
-    return _record("sub", out, (a, b), backward)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    b = _coerce(b, like=a)
-    da, db, ma, mb = _broadcast_views(a, b)
-    out = Tensor(da * db)
-
-    def backward(g):
-        return (_reduce_grad(g * db, ma, a.shape), _reduce_grad(g * da, mb, b.shape))
-
-    return _record("mul", out, (a, b), backward)
-
-
-def div(a: Tensor, b) -> Tensor:
-    b = _coerce(b, like=a)
-    da, db, ma, mb = _broadcast_views(a, b)
-    out = Tensor(da / db)
-
-    def backward(g):
-        ga = _reduce_grad(g / db, ma, a.shape)
-        gb = _reduce_grad(-g * da / (db * db), mb, b.shape)
-        return (ga, gb)
-
-    return _record("div", out, (a, b), backward)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add expects operands of one shape, got {a.shape} and {b.shape}")
+    out = Tensor(a.data + b.data)
+    return _record("add", out, (a, b), lambda g: (g, g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -311,39 +224,11 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", out, (a,), backward)
 
 
-def tensor_sum(a: Tensor) -> Tensor:
-    total = np.sum(a.data, dtype=np.float64)
-    out = Tensor(np.asarray(total, dtype=a.data.dtype))
-
-    def backward(g):
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype),)
-
-    return _record("sum", out, (a,), backward)
-
-
-def mean_square(a: Tensor) -> Tensor:
-    """Uncentered second moment: mean of squared elements.
-
-    This is the variance convention used throughout the weight statistics;
-    no mean subtraction is performed anywhere weights are involved.
-    """
-    if a.data.size == 0:
-        raise DomainError("mean_square of an empty tensor")
-    ms = np.mean(np.square(a.data, dtype=np.float64), dtype=np.float64)
-    out = Tensor(np.asarray(ms, dtype=a.data.dtype))
-    scale = 2.0 / a.data.size
-
-    def backward(g):
-        return ((scale * g) * a.data,)
-
-    return _record("mean_square", out, (a,), backward)
-
-
 def mean_square_value(arr) -> float:
     """Float64 mean of squares of a raw array or Tensor, off the graph."""
     data = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
     if data.size == 0:
-        raise DomainError("mean_square of an empty tensor")
+        raise DomainError("mean_square_value of an empty tensor")
     return float(np.mean(np.square(data, dtype=np.float64), dtype=np.float64))
 
 

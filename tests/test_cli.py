@@ -507,6 +507,26 @@ class TestUnreadableInputs:
         assert "config error" in err and "not a directory" in err
         assert taken.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command", ["train", "study", "fold"])
+    def test_out_beneath_a_file_is_exit_two(self, tmp_path, tiny_config, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = ["--out", str(taken / "sub")]
+        if command == "study":
+            args = ["study", "clamp-var", *out]
+        else:
+            from qsat import deployment
+            from qsat.training import build_model_from_config, parse_config_file
+
+            cfg = tiny_config()
+            model = build_model_from_config(parse_config_file(cfg), (3, 32, 32), 10)
+            deployment.save_checkpoint(model, tmp_path / "init.ckpt")
+            args = [command, "--config", cfg, "--init", str(tmp_path / "init.ckpt"), *out]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "config error" in err and "not a directory" in err
+        assert taken.read_text() == "not a directory\n"
+
 
 def write_idx(path, array):
     """An uncompressed IDX file of unsigned bytes."""

@@ -1,6 +1,7 @@
 """Literal pins of the model's layer lists: checkpoint (name, role) order,
 ``parameters()`` order and every ``LinearInfo`` field, for the three presets,
-and the op names one training-mode forward puts on the tape.
+the op names one training-mode forward puts on the tape, and the tensor
+engine's public names.
 
 Checkpoint order defines the payload order of every checkpoint file, and
 ``LinearInfo`` feeds the diagnostics rows and the folded walk, so these lists
@@ -348,3 +349,26 @@ def test_forward_tape(preset, bits):
     tensor._tape.clear()
     model.forward(tensor.Tensor(np.zeros((2, 3, 32, 32), np.float32)), training=True)
     assert [node.op for node in tensor._tape] == FORWARD_TAPES[preset, bits].split()
+
+
+# the engine's public names: the ops a forward records (the fused ops
+# record themselves through tensor._record), plus the hooks that tests and
+# perfbench's tracer use; add never broadcasts, not even a scalar
+TENSOR_ALL = [
+    "Tensor", "ShapeError", "DomainError", "OpConstructionError",
+    "no_grad", "is_grad_enabled",
+    "add", "matmul", "reshape", "relu", "conv2d", "avg_pool2d",
+    "mean_square_value", "register_custom_backward", "finite_difference_check",
+]
+
+
+def test_tensor_public_surface():
+    assert tensor.__all__ == TENSOR_ALL
+    for name in ("sub", "mul", "div", "tensor_sum", "mean_square"):
+        assert not hasattr(tensor, name)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (1, 4), (3, 1)])
+def test_add_rejects_unequal_shapes(shape):
+    with pytest.raises(tensor.ShapeError):
+        tensor.add(tensor.Tensor(np.zeros((3, 4))), tensor.Tensor(np.zeros(shape)))

@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from qsat import deployment as dep
 from qsat import tensor
 from qsat.data import make_blobs
-from qsat.network import BatchNorm2d, build_preset
+from qsat.network import BN_EPS, BatchNorm2d, build_preset
 from qsat.quant import PactBackward, PactState, RescaleMode
 from qsat.tensor import Tensor, no_grad
 from qsat.training import SGD, cross_entropy
@@ -171,7 +171,7 @@ class TestFoldBn:
             bn.gamma.data = np.ones_like(bn.gamma.data)
             bn.beta.data = np.zeros_like(bn.beta.data)
             bn.running_mean[...] = 0.0
-            bn.running_var[...] = 1.0 - bn.eps
+            bn.running_var[...] = 1.0 - BN_EPS
         folded = dep.fold_bn(model)
         for layer in folded.layers:
             npt.assert_allclose(layer.offset, 0.0, atol=1e-10)

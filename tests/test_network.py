@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import project
 from qsat.network import (
+    BN_EPS,
     BatchNorm2d,
     Conv2dLayer,
     DenseLayer,
@@ -20,10 +22,8 @@ from qsat.tensor import (
     ShapeError,
     Tensor,
     finite_difference_check,
-    mean_square,
     mean_square_value,
     no_grad,
-    register_custom_backward,
     relu,
 )
 
@@ -57,19 +57,20 @@ class TestBatchNorm:
 
     def test_backward_vs_finite_differences(self):
         xv = rand((4, 3, 5, 5), seed=2)
+        up = rand((4, 3, 5, 5), seed=6)
 
         def run(t):
             bn = BatchNorm2d(3, dtype=np.float64)
             bn.gamma.data = np.array([1.5, 0.5, 2.0])
             bn.beta.data = np.array([0.1, -0.2, 0.0])
-            return mean_square(bn(t, training=True))
+            return project(bn(t, training=True), up)
 
         assert finite_difference_check(run, Tensor(xv)) <= 1e-4
 
     def test_gamma_beta_gradients(self):
         bn = BatchNorm2d(2, dtype=np.float64)
         x = Tensor(rand((4, 2, 3, 3), seed=3), requires_grad=True)
-        bn(x, training=True).sum().backward()
+        project(bn(x, training=True)).backward()
         # sum of normalized values is ~0, so dgamma ~ 0 and dbeta = count
         npt.assert_allclose(bn.gamma.grad, 0.0, atol=1e-9)
         npt.assert_allclose(bn.beta.grad, 4 * 9.0)
@@ -82,7 +83,7 @@ class TestBatchNorm:
         npt.assert_allclose(bn.running_mean, x.mean(), rtol=1e-3)
         with no_grad():
             out = bn(Tensor(x), training=False).data
-        expected = (x - x.mean()) / np.sqrt(x.var() + bn.eps)
+        expected = (x - x.mean()) / np.sqrt(x.var() + BN_EPS)
         npt.assert_allclose(out, expected, atol=1e-3)
 
     def test_channel_mismatch(self):
@@ -139,8 +140,7 @@ def run_and_record(forward, x, params):
     t = Tensor(x, requires_grad=True)
     out = forward(t)
     ops = [node.op for node in tensor_module._tape]
-    up = Tensor(rand(out.shape, seed=99).astype(np.float32))
-    (out * up).sum().backward()
+    project(out, rand(out.shape, seed=99).astype(np.float32)).backward()
     return ops, [out.data, t.grad] + [p.grad for p in params]
 
 
@@ -402,12 +402,6 @@ def bn_reference(xd, gamma, beta, running_mean, running_var, g, momentum=0.1, ep
     return out, dx, dgamma.astype(gamma.dtype), dbeta.astype(beta.dtype), rm, rv
 
 
-def inject_grad(out, g):
-    """Backward pass that hands ``out`` exactly ``g``, memory layout included."""
-    inject = register_custom_backward(lambda a: a, lambda grad, a: g, name="inject")
-    inject(out).sum().backward()
-
-
 class TestBatchNormBitIdentity:
     """BatchNorm2d on (n*h, w*C) rows makes the plain formulas' float32 ops
     in their order; output, gradients and running statistics match them to
@@ -443,7 +437,7 @@ class TestBatchNormBitIdentity:
                             bn.running_var, g)
         t = Tensor(x, requires_grad=True)
         out = bn(t, training=True)
-        inject_grad(out, g)
+        project(out, g).backward()
         got = (out.data, t.grad, bn.gamma.grad, bn.beta.grad,
                bn.running_mean, bn.running_var)
         for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got, want):
@@ -457,7 +451,7 @@ class TestBatchNormBitIdentity:
         if layout == "channels_last":
             x = channels_last(x)
         bn = self.bn_with_params(c, c + 2)
-        inv = 1.0 / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+        inv = 1.0 / np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
         scale = bn.gamma.data * inv.astype(np.float32)
         shift = bn.beta.data - scale * bn.running_mean
         want = x * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
@@ -474,7 +468,7 @@ class TestBatchNormBitIdentity:
     @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
     def test_eval_backward_vs_finite_differences(self, layout):
         shape = (3, 4, 5, 6)
-        up = Tensor(rand(shape, seed=41))
+        up = rand(shape, seed=41)
         bn = BatchNorm2d(4, dtype=np.float64)
         bn.gamma.data = np.array([1.5, 0.5, -2.0, 1.0])
         bn.beta.data = np.array([0.1, -0.2, 0.0, 0.3])
@@ -485,12 +479,12 @@ class TestBatchNormBitIdentity:
             x = channels_last(x)
 
         def through_x(t):
-            return (bn(t, training=False) * up).sum()
+            return project(bn(t, training=False), up)
 
         def through(param):
             def fn(t):
                 setattr(bn, param, t)
-                return (bn(Tensor(x), training=False) * up).sum()
+                return project(bn(Tensor(x), training=False), up)
             return fn
 
         assert finite_difference_check(through_x, Tensor(x)) <= 1e-6

@@ -2,21 +2,23 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import project
 from qsat import tensor as T
 from qsat.tensor import (
     DomainError,
     OpConstructionError,
     ShapeError,
     Tensor,
+    add,
     avg_pool2d,
     conv2d,
     finite_difference_check,
     matmul,
-    mean_square,
     mean_square_value,
     no_grad,
     register_custom_backward,
     relu,
+    reshape,
 )
 from qsat.network import BatchNorm2d, build_preset
 from qsat.training import cross_entropy
@@ -24,6 +26,11 @@ from qsat.training import cross_entropy
 
 def rand(shape, seed, scale=1.0):
     return np.random.default_rng(seed).normal(0.0, scale, size=shape)
+
+
+def sum_of_squares(t):
+    """sum(t * t) of a tensor of any shape, as reshape and matmul record it."""
+    return matmul(reshape(t, (1, -1)), reshape(t, (-1, 1)))
 
 
 class TestMatmul:
@@ -38,11 +45,12 @@ class TestMatmul:
 
     def test_backward_vs_finite_differences(self):
         b = Tensor(rand((4, 2), seed=11))
+        up = rand((3, 2), seed=12)
         point = Tensor(rand((3, 4), seed=10))
-        err = finite_difference_check(lambda t: mean_square(matmul(t, b)), point)
+        err = finite_difference_check(lambda t: project(matmul(t, b), up), point)
         assert err <= 1e-6
         a = Tensor(rand((3, 4), seed=10))
-        err = finite_difference_check(lambda t: mean_square(matmul(a, t)), Tensor(b.data))
+        err = finite_difference_check(lambda t: project(matmul(a, t), up), Tensor(b.data))
         assert err <= 1e-6
 
     def test_shape_error_names_both_shapes(self):
@@ -87,14 +95,15 @@ class TestConv2d:
     def test_backward_vs_finite_differences(self):
         xv = rand((2, 3, 8, 8), seed=1)
         wv = rand((4, 3, 3, 3), seed=2)
+        up = rand((2, 4, 8, 8), seed=7)
         w = Tensor(wv)
         err = finite_difference_check(
-            lambda t: mean_square(conv2d(t, w, stride=1, pad=1)), Tensor(xv)
+            lambda t: project(conv2d(t, w, stride=1, pad=1), up), Tensor(xv)
         )
         assert err <= 1e-5
         x = Tensor(xv)
         err = finite_difference_check(
-            lambda t: mean_square(conv2d(x, t, stride=1, pad=1)), Tensor(wv)
+            lambda t: project(conv2d(x, t, stride=1, pad=1), up), Tensor(wv)
         )
         assert err <= 1e-5
 
@@ -104,14 +113,16 @@ class TestConv2d:
     def test_backward_vs_finite_differences_stride_and_pad(self, stride, pad, size):
         xv = rand((2, 3, size, size), seed=3)
         wv = rand((4, 3, 3, 3), seed=4)
+        ho = (size + 2 * pad - 3) // stride + 1
+        up = rand((2, 4, ho, ho), seed=8)
         w = Tensor(wv)
         err = finite_difference_check(
-            lambda t: mean_square(conv2d(t, w, stride=stride, pad=pad)), Tensor(xv)
+            lambda t: project(conv2d(t, w, stride=stride, pad=pad), up), Tensor(xv)
         )
         assert err <= 1e-5
         x = Tensor(xv)
         err = finite_difference_check(
-            lambda t: mean_square(conv2d(x, t, stride=stride, pad=pad)), Tensor(wv)
+            lambda t: project(conv2d(x, t, stride=stride, pad=pad), up), Tensor(wv)
         )
         assert err <= 1e-5
 
@@ -122,7 +133,7 @@ class TestConv2d:
         monkeypatch.setattr(T, "_col2im", no_scatter)
         x = Tensor(rand((2, 3, 8, 8), seed=5))
         w = Tensor(rand((4, 3, 3, 3), seed=6), requires_grad=True)
-        mean_square(conv2d(x, w, stride=1, pad=1)).backward()
+        project(conv2d(x, w, stride=1, pad=1)).backward()
         assert x.grad is None
         assert w.grad is not None and np.any(w.grad != 0)
 
@@ -157,7 +168,7 @@ class TestLayoutInvariance:
             x = Tensor(xv, requires_grad=True)
             w = Tensor(wv, requires_grad=True)
             out = conv2d(x, w, stride=stride, pad=pad)
-            (out * Tensor(up)).sum().backward()
+            project(out, up).backward()
             return out.data, x.grad, w.grad
 
         self.both_layouts(run, rand((4, 3, size, size), seed=50).astype(np.float32))
@@ -171,7 +182,7 @@ class TestLayoutInvariance:
             bn.beta.data = rand(6, seed=56).astype(np.float32)
             x = Tensor(xv, requires_grad=True)
             out = bn(x, training=True)
-            (out * Tensor(up)).sum().backward()
+            project(out, up).backward()
             with no_grad():
                 frozen = bn(Tensor(xv), training=False)
             return (out.data, x.grad, bn.gamma.grad, bn.beta.grad,
@@ -186,7 +197,7 @@ class TestLayoutInvariance:
         def run(xv):
             x = Tensor(xv, requires_grad=True)
             out = avg_pool2d(x, k)
-            (out * Tensor(up)).sum().backward()
+            project(out, up).backward()
             return out.data, x.grad
 
         # float32 means over windows of mixed magnitudes round differently
@@ -256,7 +267,7 @@ class TestAvgPoolBitIdentity:
         want_out, want_gx = pool_reference(x, k, g)
         t = Tensor(x, requires_grad=True)
         out = avg_pool2d(t, k)
-        (out * Tensor(g)).sum().backward()
+        project(out, g).backward()
         assert same_bits(out.data, want_out)
         assert same_bits(t.grad, want_gx)
         if k < 8 and w > k:
@@ -267,7 +278,7 @@ class TestAvgPoolBitIdentity:
         g = self.mixed((1, 1, 3, 4), seed=91, k=1)
         t = Tensor(x, requires_grad=True)
         out = avg_pool2d(t, 2)
-        (out * Tensor(g)).sum().backward()
+        project(out, g).backward()
         want_out, want_gx = pool_reference(x, 2, g)
         assert same_bits(out.data, want_out)
         assert same_bits(t.grad, want_gx)
@@ -369,7 +380,7 @@ class TestLoweringBitIdentity:
         up = rand((n, co, size, size), seed=76).astype(dtype)
         xt, wt = Tensor(x, requires_grad=True), Tensor(wv, requires_grad=True)
         out = conv2d(xt, wt, stride=1, pad=1)
-        (out * Tensor(up)).sum().backward()
+        project(out, up).backward()
         col, ho, wo, padded = im2col_reference(x, 3, 1, 1)
         wmat = wv.reshape(co, ci * 9)
         gcol = up.transpose(0, 2, 3, 1).reshape(-1, co)
@@ -381,18 +392,18 @@ class TestLoweringBitIdentity:
 
 class TestMeanSquare:
     def test_unit_magnitudes(self):
-        assert mean_square(Tensor([1.0, -1.0, 1.0, -1.0])).item() == 1.0
+        assert mean_square_value(Tensor([1.0, -1.0, 1.0, -1.0])) == 1.0
 
     def test_zero(self):
-        assert mean_square(Tensor([0.0, 0.0])).item() == 0.0
+        assert mean_square_value(Tensor([0.0, 0.0])) == 0.0
 
     def test_three_four(self):
         # (9 + 16) / 2
-        assert mean_square(Tensor([3.0, 4.0])).item() == pytest.approx(12.5)
+        assert mean_square_value(np.array([3.0, 4.0])) == 12.5
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            mean_square(Tensor(np.zeros(0)))
+            mean_square_value(Tensor(np.zeros(0)))
 
     @pytest.mark.parametrize("c", [0.5, 2.0, -3.0])
     def test_scaling_property(self, c):
@@ -413,23 +424,22 @@ class TestCustomBackward:
             lambda x: np.round(x), lambda g, x: g, name="round_ste"
         )
         t = Tensor(np.array([0.2, 0.7, 1.4]), requires_grad=True)
-        out = round_ste(t).sum()
-        out.backward()
+        project(round_ste(t)).backward()
         npt.assert_array_equal(t.grad, np.ones(3))
 
     def test_detach_semantics(self):
         stop = register_custom_backward(lambda x: x, lambda g, x: np.zeros_like(g))
         t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        stop(t).sum().backward()
+        project(stop(t)).backward()
         npt.assert_array_equal(t.grad, np.zeros(2))
 
     def test_square_matches_builtin_autodiff(self):
         square = register_custom_backward(lambda x: x * x, lambda g, x: 2.0 * x * g)
         v = rand(16, seed=3)
         t1 = Tensor(v, requires_grad=True)
-        square(t1).sum().backward()
+        project(square(t1)).backward()
         t2 = Tensor(v, requires_grad=True)
-        (t2 * t2).sum().backward()
+        sum_of_squares(t2).backward()
         npt.assert_allclose(t1.grad, t2.grad, rtol=1e-12)
 
     def test_arity_mismatch_is_a_construction_error(self):
@@ -442,7 +452,7 @@ class TestCustomBackward:
         )
         a = Tensor(np.ones(2), requires_grad=True)
         b = Tensor(np.ones(2), requires_grad=True)
-        out = bad(a, b).sum()
+        out = project(bad(a, b))
         with pytest.raises(OpConstructionError):
             out.backward()
 
@@ -451,30 +461,31 @@ class TestFiniteDifferenceCheck:
     def test_sum_is_exact_at_integer_points(self):
         # integer values with eps=0.5 keep every evaluation exact in floats
         point = Tensor(np.arange(1.0, 7.0))
-        err = finite_difference_check(lambda t: t.sum(), point, eps=0.5)
+        err = finite_difference_check(project, point, eps=0.5)
         assert err == 0.0
 
-    def test_mean_square_gradient(self):
-        err = finite_difference_check(mean_square, Tensor([3.0, 4.0]), eps=1e-5)
+    def test_sum_of_squares_gradient(self):
+        err = finite_difference_check(sum_of_squares, Tensor([3.0, 4.0]), eps=1e-5)
         assert err <= 1e-6
 
     def test_coords_subset(self):
         point = Tensor(rand(6, seed=9))
-        err = finite_difference_check(mean_square, point, coords=[0, 3])
+        err = finite_difference_check(sum_of_squares, point, coords=[0, 3])
         assert err <= 1e-6
 
 
 class TestElementwiseAndPooling:
     def test_relu_forward_backward(self):
         t = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
-        relu(t).sum().backward()
+        project(relu(t)).backward()
         npt.assert_array_equal(t.grad, [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("fn", [relu], ids=["relu"])
     def test_gradients_match_finite_differences(self, fn):
         # positive offset keeps relu away from its kink
         point = Tensor(np.abs(rand(20, seed=21)) + 0.5)
-        err = finite_difference_check(lambda t: mean_square(fn(t)), point)
+        up = rand(20, seed=22)
+        err = finite_difference_check(lambda t: project(fn(t), up), point)
         assert err <= 1e-6
 
     def test_avg_pool_preserves_constants(self):
@@ -483,12 +494,21 @@ class TestElementwiseAndPooling:
 
     def test_avg_pool_backward_spreads_evenly(self):
         t = Tensor(rand((1, 1, 4, 4), seed=2), requires_grad=True)
-        avg_pool2d(t, 2).sum().backward()
+        project(avg_pool2d(t, 2)).backward()
         npt.assert_allclose(t.grad, np.full((1, 1, 4, 4), 0.25))
 
     def test_pool_shape_errors(self):
         with pytest.raises(ShapeError):
             avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)
+
+    def test_add_forward_backward(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([0.5, 4.0]), requires_grad=True)
+        out = a + b
+        npt.assert_array_equal(out.data, [1.5, 2.0])
+        project(out, [3.0, -1.0]).backward()
+        npt.assert_array_equal(a.grad, [3.0, -1.0])
+        npt.assert_array_equal(b.grad, [3.0, -1.0])
 
     def test_unsupported_broadcast_rejected(self):
         with pytest.raises(ShapeError):
@@ -499,27 +519,28 @@ class TestGraphMechanics:
     def test_backward_requires_scalar(self):
         t = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ShapeError):
-            (t * 2.0).backward()
+            relu(t).backward()
 
     def test_gradient_accumulates_over_reuse(self):
         t = Tensor(np.array([2.0]), requires_grad=True)
-        ((t * 3.0) + (t * 4.0)).sum().backward()
+        project(add(t, t), [3.5]).backward()
         npt.assert_array_equal(t.grad, [7.0])
 
     def test_tape_freed_after_backward(self):
         t = Tensor(np.ones(4), requires_grad=True)
-        mean_square(t).backward()
+        project(t).backward()
         assert len(T._tape) == 0
 
     def test_no_grad_records_nothing(self):
         t = Tensor(np.ones(4), requires_grad=True)
         with no_grad():
-            out = mean_square(t)
+            out = project(relu(t))
         assert not out.requires_grad
         assert len(T._tape) == 0
 
     def test_linearity_of_backward(self):
         v = rand(12, seed=31)
+        up = rand(12, seed=32)
         a, b = 2.5, -1.25
 
         def grad_of(fn):
@@ -527,15 +548,15 @@ class TestGraphMechanics:
             fn(t).backward()
             return t.grad
 
-        combined = grad_of(lambda t: a * mean_square(t) + b * t.sum())
-        separate = a * grad_of(mean_square) + b * grad_of(lambda t: t.sum())
+        combined = grad_of(lambda t: project(relu(t), a * up) + project(t, np.full(12, b)))
+        separate = a * grad_of(lambda t: project(relu(t), up)) + b * grad_of(project)
         npt.assert_allclose(combined, separate, rtol=1e-12)
 
     def test_determinism_bit_identical(self):
         def run():
             x = Tensor(rand((4, 3, 8, 8), seed=40), requires_grad=True)
             w = Tensor(rand((5, 3, 3, 3), seed=41), requires_grad=True)
-            out = mean_square(relu(conv2d(x, w, pad=1)))
+            out = project(relu(conv2d(x, w, pad=1)), rand((4, 5, 8, 8), seed=42))
             out.backward()
             return out.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -546,5 +567,6 @@ class TestGraphMechanics:
 
     def test_dtype_preserved_through_ops(self):
         x = Tensor(np.ones((2, 2), dtype=np.float32))
-        assert (x * 2.0).dtype == np.float32
+        assert (x + x).dtype == np.float32
+        assert relu(x).dtype == np.float32
         assert matmul(x, x).dtype == np.float32

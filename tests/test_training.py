@@ -8,7 +8,7 @@ import pytest
 
 from qsat.data import ArrayDataset, Batch, DatasetError, load_dataset, make_blobs
 from qsat.network import build_preset
-from qsat.quant import RescaleMode
+from qsat.quant import PactState, RescaleMode
 from qsat.tensor import DomainError, Tensor, finite_difference_check
 from qsat.training import (
     SGD,
@@ -98,6 +98,20 @@ class TestSgd:
         opt = SGD([p], momentum=0.9, weight_decay=0.0)
         opt.step(0.1)  # no grad yet
         npt.assert_array_equal(p.data, np.ones(3))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2, the frozen alpha: clamp_alpha leaves a numpy "
+        "scalar where the 0-d array was, so sgd_step's in-place update is lost",
+    )
+    def test_clamped_alpha_still_trains(self):
+        state = PactState.create(bits=4)
+        state.clamp_alpha()
+        assert isinstance(state.alpha.data, np.ndarray) and state.alpha.data.ndim == 0
+        before = state.alpha_value
+        state.alpha.grad = np.asarray(1.0, dtype=np.float32)
+        SGD([state.alpha], momentum=0.9, weight_decay=0.0).step(0.1)
+        assert state.alpha_value != before
 
 
 class TestLrSchedule:
