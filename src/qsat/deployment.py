@@ -93,7 +93,7 @@ def _write_container(path, manifest: dict, arrays: list[np.ndarray]) -> None:
 
 def save_checkpoint(model, path, config_hash: str = "") -> None:
     """Serialize model tensors; manifest order defines payload order."""
-    entries = model.state_arrays()
+    entries = model.named_state()
     schemes = {f"{info.name}.weight": _scheme_json(info.layer.scheme)
                for info in model.linear_infos()}
     manifest = {
@@ -104,13 +104,13 @@ def save_checkpoint(model, path, config_hash: str = "") -> None:
             {
                 "name": name,
                 "role": role,
-                "shape": list(arr.shape),
+                "shape": list(t.shape),
                 "scheme": schemes.get(name),
             }
-            for name, role, arr in entries
+            for name, role, t in entries
         ],
     }
-    _write_container(path, manifest, [arr for _, _, arr in entries])
+    _write_container(path, manifest, [t.data for _, _, t in entries])
 
 
 def _scheme_json(scheme) -> dict:
@@ -477,9 +477,9 @@ def fold_bn(model) -> FoldedModel:
         idx, w_levels, factor = _weight_grid_indices(conv)
         co = len(idx)
         if bn is not None:
-            sigma = np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
+            sigma = np.sqrt(bn.running_var.data.astype(np.float64) + BN_EPS)
             gamma_abs = bn.gamma.data.astype(np.float64) / sigma
-            beta_abs = bn.beta.data.astype(np.float64) - gamma_abs * bn.running_mean.astype(np.float64)
+            beta_abs = bn.beta.data.astype(np.float64) - gamma_abs * bn.running_mean.data.astype(np.float64)
         else:
             gamma_abs = np.ones(co)
             beta_abs = np.zeros(co)
@@ -582,7 +582,8 @@ def load_folded(path) -> FoldedModel:
 
 def folded_from_checkpoint(path, ckpt: Checkpoint) -> FoldedModel:
     """The folded model in a checkpoint read from ``path``, rejecting any
-    field the exact integer path relies on that is missing or out of range."""
+    field the exact integer path relies on that is missing or out of range,
+    and any layer whose integer accumulators float64 cannot hold exactly."""
     if ckpt.kind != "folded":
         raise CheckpointError(f"{path}: expected a folded model, got '{ckpt.kind}'")
     try:
@@ -611,9 +612,9 @@ def folded_from_checkpoint(path, ckpt: Checkpoint) -> FoldedModel:
         chained = prev is None or layer.in_levels == prev.out_levels * prev.pool_k**2
         linked = prev is None or idx.ndim != 4 or idx.shape[1] == prev.weight_idx.shape[0]
         for ok, problem in (
-            (idx.ndim == 4 and idx.shape[2] == idx.shape[3]
+            (idx.ndim == 4 and idx.size > 0 and idx.shape[2] == idx.shape[3]
              and np.all((idx == np.rint(idx)) & (idx >= 0) & (idx <= levels)),
-             f"int_weight is not a 4-D square kernel of integers in 0..{levels}"),
+             f"int_weight is not a nonempty 4-D square kernel of integers in 0..{levels}"),
             (layer.stride >= 1 and layer.pad >= 0 and layer.pool_k >= 1,
              "stride or pool_k is below 1, or pad is negative"),
             (np.all(np.abs(layer.channel_sign) == 1.0),
@@ -630,4 +631,9 @@ def folded_from_checkpoint(path, ckpt: Checkpoint) -> FoldedModel:
         ):
             if not ok:
                 raise CheckpointError(f"{path}: layer '{layer.name}' {problem}")
+    for layer in layers:
+        try:
+            _layer_plan(layer, exact=True)  # the integer accumulators must stay exact
+        except FoldError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
     return folded

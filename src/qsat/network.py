@@ -92,7 +92,9 @@ class BatchNorm2d:
     Training mode normalizes with batch statistics (computed over the
     batch and spatial axes) and updates the running estimates; eval mode
     applies the running statistics as a fixed affine map.  Batches of one
-    sample are rejected in training mode.
+    sample are rejected in training mode.  The running statistics are
+    ``Tensor``s that need no gradient, so they are model state like
+    ``gamma`` and ``beta``; training assigns their ``.data``.
 
     Every per-channel op runs on the activation viewed as ``(n*h, w*C)``
     rows, with each per-channel vector tiled w times, so numpy's inner
@@ -106,8 +108,8 @@ class BatchNorm2d:
         self.channels = channels
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.running_mean = Tensor(np.zeros(channels, dtype=dtype))
+        self.running_var = Tensor(np.ones(channels, dtype=dtype))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim != 4 or x.shape[1] != self.channels:
@@ -128,12 +130,9 @@ class BatchNorm2d:
         var = _channel_sums(x64, c) / m - mean**2
         del x64
         var = np.maximum(var, 0.0)
-        self.running_mean = (
-            (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
-        ).astype(self.running_mean.dtype)
-        self.running_var = (
-            (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
-        ).astype(self.running_var.dtype)
+        for running, batch in ((self.running_mean, mean), (self.running_var, var)):
+            running.data = ((1.0 - BN_MOMENTUM) * running.data
+                            + BN_MOMENTUM * batch).astype(running.dtype)
 
         sigma = np.sqrt(var + BN_EPS).astype(rows.dtype)
         xhat = rows - np.tile(mean.astype(rows.dtype), w)
@@ -160,9 +159,9 @@ class BatchNorm2d:
         """Eval mode: ``x * scale + shift`` from the running statistics, as
         one per-channel affine op."""
         c, w = self.channels, x.shape[3]
-        gamma, beta, mean = self.gamma, self.beta, self.running_mean
+        gamma, beta, mean = self.gamma, self.beta, self.running_mean.data
         rows = _wide_rows(x.data)
-        inv = (1.0 / np.sqrt(self.running_var.astype(np.float64) + BN_EPS)).astype(x.dtype)
+        inv = (1.0 / np.sqrt(self.running_var.data.astype(np.float64) + BN_EPS)).astype(x.dtype)
         scale = gamma.data * inv
         shift = beta.data - scale * mean
         out = rows * np.tile(scale, w)
@@ -319,7 +318,7 @@ def run_table(records: list[LayerRecord], x: Tensor, training: bool) -> Tensor:
     return h
 
 
-def _module_state(prefix: str, module) -> list[tuple[str, str, object]]:
+def _module_state(prefix: str, module) -> list[tuple[str, str, Tensor]]:
     """(name, role, owner) triples of one module's checkpoint tensors."""
     if isinstance(module, BatchNorm2d):
         return [(f"{prefix}.gamma", "bn_gamma", module.gamma),
@@ -354,7 +353,7 @@ class Model:
     def parameters(self) -> list[Tensor]:
         """Trainable tensors in forward order."""
         return [owner for prefix, m in self._named_modules()
-                for _, _, owner in _module_state(prefix, m) if isinstance(owner, Tensor)]
+                for _, _, owner in _module_state(prefix, m) if owner.requires_grad]
 
     def linear_infos(self) -> list[LinearInfo]:
         """One row per record.  A pool before the layer sets its
@@ -378,9 +377,9 @@ class Model:
             preceding = info.k_pool
         return infos
 
-    def named_state(self) -> list[tuple[str, str, object]]:
-        """(name, role, owner) triples in checkpoint order; owner is a
-        Tensor or a BN running-statistics array.
+    def named_state(self) -> list[tuple[str, str, Tensor]]:
+        """(name, role, tensor) triples in checkpoint order: every tensor of
+        the model, trainable or not (the BN running statistics).
 
         Tensors go block by block, a block being the first part of a name.
         Within a block, the modules of one class go together, classes in
@@ -397,17 +396,6 @@ class Model:
                 entries += _module_state(prefix, module)
         return entries
 
-    # -- checkpoint plumbing shared by all models -----------------------
-
-    def state_arrays(self) -> list[tuple[str, str, np.ndarray]]:
-        out = []
-        for name, role, owner in self.named_state():
-            if isinstance(owner, Tensor):
-                out.append((name, role, owner.data))
-            else:
-                out.append((name, role, owner))
-        return out
-
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
         """Assign tensor values by name.
 
@@ -415,7 +403,9 @@ class Model:
         fresh initialization: full-precision checkpoints have no activation
         quantizers, and finetuning them into a quantized configuration is
         the normal workflow.  Extra tensors in the source are ignored with
-        a warning; any other missing tensor is an error.
+        a warning; any other missing tensor is a ``KeyError``, and a tensor
+        of another shape than its slot a ``ShapeError``.  Either error
+        leaves the model as it was.
         """
         entries = self.named_state()
         names = [n for n, _, _ in entries]
@@ -427,19 +417,13 @@ class Model:
         if extra:
             log.warning("ignoring %d checkpoint tensors with no model slot: %s",
                         len(extra), extra)
-        for name, role, owner in entries:
-            if name not in tensors:
-                continue
-            arr = tensors[name]
-            if isinstance(owner, Tensor):
-                if arr.shape != owner.data.shape:
-                    raise ShapeError(
-                        f"tensor '{name}': checkpoint shape {arr.shape} vs "
-                        f"model shape {owner.data.shape}"
-                    )
-                owner.data = arr.astype(owner.data.dtype)
-            else:
-                owner[...] = arr.astype(owner.dtype)
+        loaded = [(name, owner, tensors[name]) for name, _, owner in entries if name in tensors]
+        for name, owner, arr in loaded:
+            if arr.shape != owner.shape:
+                raise ShapeError(f"tensor '{name}': checkpoint shape {arr.shape} vs "
+                                 f"model shape {owner.shape}")
+        for _, owner, arr in loaded:
+            owner.data = arr.astype(owner.dtype)
 
     def pact_states(self) -> list[PactState]:
         return [m for _, m in self._named_modules() if isinstance(m, PactState)]

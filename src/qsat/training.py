@@ -445,7 +445,8 @@ def train(
             lr = 0.0
             for b in range(steps_per_epoch):
                 idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                images = train_set.images[idx].copy()
+                # an index array gathers a copy, which the flip may write into
+                images = train_set.images[idx]
                 flip_mask = flips[idx]
                 if flip_mask.any():
                     images[flip_mask] = images[flip_mask][..., ::-1]

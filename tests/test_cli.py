@@ -67,6 +67,15 @@ class TestTrainCommand:
         assert code == 0
         assert (tmp_path / "q" / "checkpoint.ckpt").exists()
 
+    def test_divergence_is_exit_four(self, tmp_path, tiny_config, capsys):
+        cfg = tiny_config(bits="raw", extra="base_lr=10000\n")
+        code, summary, err = run_cli(capsys, "train", "--config", cfg,
+                                     "--out", str(tmp_path / "run"))
+        assert code == 4
+        assert summary == {"command": "train", "status": "diverged",
+                           "out": str(tmp_path / "run")}
+        assert "training diverged" in err
+
     def test_quantized_without_init_is_config_error(self, tmp_path, tiny_config, capsys):
         cfg = tiny_config(bits="4", act_bits="4")
         code, _, err = run_cli(capsys, "train", "--config", cfg,
@@ -367,10 +376,14 @@ class TestFoldCommand:
         assert "skip" in err
 
 
-    @pytest.mark.parametrize("layer, key", [(0, "weight_levels"), (-1, "out_levels"),
-                                            (0, "in_levels")])
+    # 2^52 input levels pass the meta range check, but put layer 0's
+    # integer accumulator bound past 2^53
+    @pytest.mark.parametrize("layer, key, value", [
+        (0, "weight_levels", 10**400), (-1, "out_levels", 10**400),
+        (0, "in_levels", 10**400), (0, "in_levels", 2**52),
+    ], ids=["0-weight_levels", "-1-out_levels", "0-in_levels", "0-in_levels-2^52"])
     def test_integer_meta_past_float_range_is_exit_two(self, tmp_path, tiny_config, capsys,
-                                                       layer, key):
+                                                       layer, key, value):
         from qsat import deployment as dep
         from qsat.training import build_model_from_config, parse_config_file
 
@@ -381,7 +394,7 @@ class TestFoldCommand:
                                 "--init", str(tmp_path / "q8.ckpt"),
                                 "--out", str(tmp_path / "folded"))
         ckpt = dep.load_checkpoint(summary["out"])
-        ckpt.manifest["meta"]["layers"][layer][key] = 10**400
+        ckpt.manifest["meta"]["layers"][layer][key] = value
         dep._write_container(summary["out"], ckpt.manifest,
                              [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]])
         code, _, err = run_cli(capsys, "eval", "--config", q_cfg, "--init", summary["out"])
@@ -439,6 +452,28 @@ class TestCheckpointFit:
                                                      tmp_path))
         assert code == 2
         assert "checkpoint error" in err and "block3.weight" in err
+
+    @pytest.mark.parametrize("channels", [1, 24])
+    @pytest.mark.parametrize("name", ["eval", "diagnose", "fold", "train"])
+    def test_other_running_var_shape_is_exit_two(self, tmp_path, tiny_config, capsys, name,
+                                                 channels):
+        from qsat import deployment as dep
+        from qsat.training import build_model_from_config, parse_config_file
+
+        cfg = tiny_config("q8.cfg", bits="8", act_bits="8")
+        path = tmp_path / "var.ckpt"
+        dep.save_checkpoint(build_model_from_config(parse_config_file(cfg), (3, 32, 32), 10),
+                            path)
+        ckpt = dep.load_checkpoint(path)
+        entry = next(t for t in ckpt.manifest["tensors"] if t["name"] == "block1.bn.running_var")
+        entry["shape"] = [channels]
+        ckpt.tensors[entry["name"]] = np.ones(channels, np.float32)
+        dep._write_container(path, ckpt.manifest,
+                             [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]])
+        code, _, err = run_cli(capsys, *self.command(name, cfg, str(path), tmp_path))
+        assert code == 2
+        assert "checkpoint error" in err and "block1.bn.running_var" in err
+        assert f"({channels},) vs model shape (16,)" in err
 
     def test_classes_seen_only_in_validation_fit_every_command(self, tmp_path, capsys):
         # train holds labels 0-2 and test labels 0-3: every command sizes

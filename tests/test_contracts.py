@@ -213,7 +213,6 @@ def _names_by_owner(model):
 def test_checkpoint_names_and_roles(key):
     model = _build(key)
     assert [(name, role) for name, role, _ in model.named_state()] == MODELS[key][2]
-    assert [(name, role) for name, role, _ in model.state_arrays()] == MODELS[key][2]
 
 
 @pytest.mark.parametrize("key", MODELS)

@@ -39,8 +39,8 @@ class TestCheckpointContainer:
         ckpt = dep.load_checkpoint(path)
         assert ckpt.kind == "model"
         assert ckpt.config_hash == "abc"
-        for name, _, arr in model.state_arrays():
-            npt.assert_array_equal(ckpt.tensors[name], arr)
+        for name, _, t in model.named_state():
+            npt.assert_array_equal(ckpt.tensors[name], t.data)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model = trained_quant_model(seed=2, steps=3)
@@ -146,8 +146,8 @@ class TestCheckpointContainer:
 
     @pytest.mark.parametrize("bits", ["fp", 4])
     def test_all_zero_clamped_weight_rejected(self, bits):
-        state = {name: arr.copy() for name, _, arr in build_preset(
-            "convnet-bn", weight_bits="raw", seed=6).state_arrays()}
+        state = {name: t.data.copy() for name, _, t in build_preset(
+            "convnet-bn", weight_bits="raw", seed=6).named_state()}
         state["block3.weight"][...] = 0.0
         model = build_preset("convnet-bn", weight_bits=bits, act_bits=4,
                              rescale=RescaleMode.CONSTANT, seed=60)
@@ -157,7 +157,7 @@ class TestCheckpointContainer:
     def test_all_zero_raw_weight_loads(self):
         # a raw layer uses its weight as it is; nothing divides by its spread
         raw = build_preset("convnet-bn", weight_bits="raw", seed=6)
-        state = {name: arr.copy() for name, _, arr in raw.state_arrays()}
+        state = {name: t.data.copy() for name, _, t in raw.named_state()}
         state["block3.weight"][...] = 0.0
         dep.load_model_state(raw, state)
         assert not np.any(raw.layer_table[2].layer.w.data)
@@ -170,8 +170,8 @@ class TestFoldBn:
             bn = record.find(BatchNorm2d)
             bn.gamma.data = np.ones_like(bn.gamma.data)
             bn.beta.data = np.zeros_like(bn.beta.data)
-            bn.running_mean[...] = 0.0
-            bn.running_var[...] = 1.0 - BN_EPS
+            bn.running_mean.data[...] = 0.0
+            bn.running_var.data[...] = 1.0 - BN_EPS
         folded = dep.fold_bn(model)
         for layer in folded.layers:
             npt.assert_allclose(layer.offset, 0.0, atol=1e-10)
@@ -180,8 +180,11 @@ class TestFoldBn:
                 layer.clip, layer.out_alpha / layer.in_scale, rtol=1e-6
             )
 
-    def test_differential_against_unfolded(self):
-        model = trained_quant_model(seed=8, steps=10)
+    # convnet-nobn-tail's last conv has no BN to fold: its offsets are zero
+    # and its rescale factor alone scales the clip
+    @pytest.mark.parametrize("preset, bits", [("convnet-bn", 8), ("convnet-nobn-tail", 4)])
+    def test_differential_against_unfolded(self, preset, bits):
+        model = trained_quant_model(seed=8, bits=bits, act_bits=bits, steps=10, preset=preset)
         folded = dep.fold_bn(model)
         rng = np.random.default_rng(80)
         images = rng.integers(0, 256, size=(100, 3, 32, 32)).astype(np.float32)
@@ -409,6 +412,15 @@ class TestFoldedValidation:
     def test_non_square_kernel(self, tmp_path, folded):
         folded.layers[2].weight_idx = folded.layers[2].weight_idx[..., :2]
         self.rejected(tmp_path, folded, "square")
+
+    def test_last_layer_without_output_channels(self, tmp_path, folded):
+        # the chain checks cannot catch it: no layer follows, and an empty
+        # fc_weight takes its zero activations
+        layer = folded.layers[-1]
+        for field in ("weight_idx", "channel_sign", "offset", "clip", "requant"):
+            setattr(layer, field, getattr(layer, field)[:0])
+        folded.fc_weight = folded.fc_weight[:0]
+        self.rejected(tmp_path, folded, "nonempty")
 
     def test_input_channels_break_the_chain(self, tmp_path, folded):
         folded.layers[2].weight_idx = folded.layers[2].weight_idx[:, 1:]

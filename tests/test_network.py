@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -80,7 +82,7 @@ class TestBatchNorm:
         x = rand((16, 1, 4, 4), seed=4, scale=2.0) + 3.0
         for _ in range(200):
             bn(Tensor(x), training=True)
-        npt.assert_allclose(bn.running_mean, x.mean(), rtol=1e-3)
+        npt.assert_allclose(bn.running_mean.data, x.mean(), rtol=1e-3)
         with no_grad():
             out = bn(Tensor(x), training=False).data
         expected = (x - x.mean()) / np.sqrt(x.var() + BN_EPS)
@@ -175,7 +177,8 @@ class TestPactSubsumesRelu:
         _, want = run_and_record(lambda t: reference(r2, t), x, params(r2))
         assert "relu" not in ops and "pact_quantize" in ops
         assert all(same_bits(a, b) for a, b in zip(got, want))
-        assert same_bits(r1.find(BatchNorm2d).running_var, r2.find(BatchNorm2d).running_var)
+        assert same_bits(r1.find(BatchNorm2d).running_var.data,
+                         r2.find(BatchNorm2d).running_var.data)
 
     @pytest.mark.parametrize("mode", [PactBackward.CG, PactBackward.LEGACY])
     def test_preresnet_block(self, mode):
@@ -278,9 +281,9 @@ class TestPresets:
     def test_build_is_deterministic(self):
         a = build_preset("convnet-bn", seed=3)
         b = build_preset("convnet-bn", seed=3)
-        for (n1, _, t1), (n2, _, t2) in zip(a.state_arrays(), b.state_arrays()):
+        for (n1, _, t1), (n2, _, t2) in zip(a.named_state(), b.named_state()):
             assert n1 == n2
-            npt.assert_array_equal(t1, t2)
+            npt.assert_array_equal(t1.data, t2.data)
 
     def test_kaiming_style_init_variance(self):
         model = build_preset("convnet-bn", weight_bits="raw", seed=9)
@@ -358,14 +361,33 @@ class TestStateRoundTrip:
     def test_state_dict_round_trip_identity(self, name):
         model = build_preset(name, weight_bits=4, act_bits=4,
                              rescale=RescaleMode.CONSTANT, seed=15)
-        entries = model.state_arrays()
-        snapshot = {n: arr.copy() for n, _, arr in entries}
+        entries = model.named_state()
+        snapshot = {n: t.data.copy() for n, _, t in entries}
         other = build_preset(name, weight_bits=4, act_bits=4,
                              rescale=RescaleMode.CONSTANT, seed=99)
         other.load_state(snapshot)
-        for (n1, _, t1), (n2, _, t2) in zip(entries, other.state_arrays()):
+        for (n1, _, t1), (n2, _, t2) in zip(entries, other.named_state()):
             assert n1 == n2
-            npt.assert_array_equal(t1, t2)
+            npt.assert_array_equal(t1.data, t2.data)
+
+    def test_extra_tensors_ignored_with_warning(self, caplog):
+        model = build_preset("convnet-bn", seed=16)
+        state = {n: t.data + 1.0 for n, _, t in model.named_state()}
+        with caplog.at_level(logging.WARNING, logger="qsat.network"):
+            model.load_state({**state, "bogus": np.zeros(3)})
+        assert "ignoring 1 checkpoint tensors with no model slot: ['bogus']" in caplog.text
+        for n, _, t in model.named_state():
+            npt.assert_array_equal(t.data, state[n])
+
+    def test_other_shape_rejected_before_any_tensor_loads(self):
+        model = build_preset("convnet-bn", seed=16)
+        before = {n: t.data.copy() for n, _, t in model.named_state()}
+        state = {n: a + 1.0 for n, a in before.items()}
+        state["block3.bn.running_var"] = np.ones(5, np.float32)
+        with pytest.raises(ShapeError, match=r"'block3.bn.running_var': checkpoint shape \(5,\)"):
+            model.load_state(state)
+        for n, _, t in model.named_state():
+            npt.assert_array_equal(t.data, before[n])
 
     def test_mismatched_names_rejected(self):
         model = build_preset("convnet-bn", seed=16)
@@ -416,8 +438,8 @@ class TestBatchNormBitIdentity:
         rng = np.random.default_rng(seed)
         bn.gamma.data = rng.normal(1.0, 0.3, c).astype(np.float32)
         bn.beta.data = rng.normal(0.0, 0.5, c).astype(np.float32)
-        bn.running_mean = rng.normal(0.0, 1.0, c).astype(np.float32)
-        bn.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        bn.running_mean.data = rng.normal(0.0, 1.0, c).astype(np.float32)
+        bn.running_var.data = rng.uniform(0.5, 2.0, c).astype(np.float32)
         return bn
 
     @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
@@ -433,13 +455,13 @@ class TestBatchNormBitIdentity:
         if layout == "channels_last":
             x, g = channels_last(x), channels_last(g)
         bn = self.bn_with_params(c, seed)
-        want = bn_reference(x, bn.gamma.data, bn.beta.data, bn.running_mean,
-                            bn.running_var, g)
+        want = bn_reference(x, bn.gamma.data, bn.beta.data, bn.running_mean.data,
+                            bn.running_var.data, g)
         t = Tensor(x, requires_grad=True)
         out = bn(t, training=True)
         project(out, g).backward()
         got = (out.data, t.grad, bn.gamma.grad, bn.beta.grad,
-               bn.running_mean, bn.running_var)
+               bn.running_mean.data, bn.running_var.data)
         for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got, want):
             assert same_bits(a, b), name
 
@@ -451,9 +473,9 @@ class TestBatchNormBitIdentity:
         if layout == "channels_last":
             x = channels_last(x)
         bn = self.bn_with_params(c, c + 2)
-        inv = 1.0 / np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
+        inv = 1.0 / np.sqrt(bn.running_var.data.astype(np.float64) + BN_EPS)
         scale = bn.gamma.data * inv.astype(np.float32)
-        shift = bn.beta.data - scale * bn.running_mean
+        shift = bn.beta.data - scale * bn.running_mean.data
         want = x * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
         with no_grad():
             assert same_bits(bn(Tensor(x), training=False).data, want)
@@ -472,8 +494,8 @@ class TestBatchNormBitIdentity:
         bn = BatchNorm2d(4, dtype=np.float64)
         bn.gamma.data = np.array([1.5, 0.5, -2.0, 1.0])
         bn.beta.data = np.array([0.1, -0.2, 0.0, 0.3])
-        bn.running_mean = np.array([0.5, -1.0, 0.0, 2.0])
-        bn.running_var = np.array([0.8, 1.5, 2.0, 0.3])
+        bn.running_mean.data = np.array([0.5, -1.0, 0.0, 2.0])
+        bn.running_var.data = np.array([0.8, 1.5, 2.0, 0.3])
         x = rand(shape, seed=42, scale=2.0)
         if layout == "channels_last":
             x = channels_last(x)

@@ -186,7 +186,7 @@ class TestLayoutInvariance:
             with no_grad():
                 frozen = bn(Tensor(xv), training=False)
             return (out.data, x.grad, bn.gamma.grad, bn.beta.grad,
-                    bn.running_mean, bn.running_var, frozen.data)
+                    bn.running_mean.data, bn.running_var.data, frozen.data)
 
         self.both_layouts(run, rand((4, 6, 8, 8), seed=53, scale=2.0).astype(np.float32))
 

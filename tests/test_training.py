@@ -202,6 +202,14 @@ class TestConfigParsing:
         assert cfg.layer_overrides[2]["bits"] == "8"
         assert cfg.layer_overrides[2]["rescale"] is RescaleMode.STDDEV
 
+    def test_layer_bits_override_reaches_the_built_scheme(self):
+        cfg = parse_config(self.GOOD + "\nlayer2.bits=2\nlayer3.bits=raw\nlayer4.bits=fp")
+        schemes = [i.layer.scheme for i in build_model_from_config(cfg, (3, 32, 32), 10)
+                   .linear_infos()]
+        assert schemes[3] is None  # raw: the weight as it is
+        assert schemes[4].bits is None  # fp: clamped, not quantized
+        assert [s.bits for s in schemes[:3] + schemes[5:]] == [8, 4, 2, 4, 8]
+
     def test_config_hash_stable_and_sensitive(self):
         a = parse_config(self.GOOD)
         b = parse_config(self.GOOD)

@@ -1,18 +1,21 @@
 """Print the sha256 of every file that ``qsat train`` writes for the three
-``perfbench/configs`` runs and two short runs derived from them, of the file
-``qsat fold`` writes for the 4-bit run, of what ``qsat eval`` prints for the
-4-bit run's checkpoint and for that folded file, of what ``qsat diagnose``
-prints for each run, of the folded model's ``forward_int`` logits and
-``forward_float`` logits and margins, and of the CSV files of the two
-``qsat study`` commands, so two checkouts can be compared by a diff.
+``perfbench/configs`` runs and four short runs derived from them, of the
+file ``qsat fold`` writes for each folded run, of what ``qsat eval`` prints
+for a folded run's checkpoint and for its folded file, of what ``qsat
+diagnose`` prints for each run, of the 4-bit run's folded ``forward_int``
+logits and ``forward_float`` logits and margins, and of the CSV files of
+the two ``qsat study`` commands, so two checkouts can be compared by a diff.
 
 The derived runs cover paths the three runs miss: a ReLU with no BN in
 front of it (one epoch of ``convnet-nobn-tail`` at full precision), the
-same with the STDDEV rescale, and PACT inside residual blocks (one epoch of
-a 4-bit ``preresnet-toy`` fine-tune from the raw run).  Their configs are
-the base configs with some keys replaced, written to the temporary
-directory.
+same with the STDDEV rescale, PACT inside residual blocks (one epoch of a
+4-bit ``preresnet-toy`` fine-tune from the raw run), and the LEGACY clip
+gradient with a folded conv that has no BN (one epoch of a 4-bit
+``convnet-nobn-tail`` fine-tune with ``pact_mode=legacy`` from the
+full-precision ``convnet-nobn-tail`` run).  Their configs are the base
+configs with some keys replaced, written to the temporary directory.
 
+The folded runs are the 4-bit run and the LEGACY ``convnet-nobn-tail`` run.
 The folded outputs cover the 640-image validation pool of the 4-bit run's
 dataset (its seed, 10 training images), in batches of its batch size, the
 pool and batches ``perfbench`` runs ``infer-fold-q4`` on.
@@ -45,8 +48,12 @@ RUNS = (
      None),
     ("preresnet-q4", "q4_convnet.cfg",
      {"preset": "preresnet-toy", "epochs": 1, "warmup_epochs": 0}, "raw"),
+    ("nobn-legacy-q4", "q4_convnet.cfg",
+     {"preset": "convnet-nobn-tail", "epochs": 1, "warmup_epochs": 0, "pact_mode": "legacy"},
+     "nobn-fp"),
 )
-FOLDED_RUN = "q4"
+FOLDED_RUNS = ("q4", "nobn-legacy-q4")
+POOL_RUN = "q4"  # one of FOLDED_RUNS
 POOL_IMAGES = 640
 STUDIES = ("clamp-var", "quant-var")
 
@@ -98,23 +105,22 @@ def main() -> int:
         for name, _, _, init in RUNS:
             init_args = ["--init", checkpoint(init)] if init else []
             qsat("train", name, "--out", os.path.join(tmp, name), "--force", *init_args)
-        diagnose_dir = Path(tmp, "diagnose")
+        diagnose_dir, eval_dir = Path(tmp, "diagnose"), Path(tmp, "eval")
         diagnose_dir.mkdir()
+        eval_dir.mkdir()
         for name, *_ in RUNS:
-            if name == FOLDED_RUN:
+            if name in FOLDED_RUNS:
+                folded = os.path.join(tmp, "fold", name, "folded.ckpt")
                 qsat("fold", name, "--init", checkpoint(name),
-                     "--out", os.path.join(tmp, "fold"), "--force")
-                eval_dir = Path(tmp, "eval")
-                eval_dir.mkdir()
-                for kind, path in (("model", checkpoint(name)),
-                                   ("folded", os.path.join(tmp, "fold", "folded.ckpt"))):
+                     "--out", os.path.dirname(folded), "--force")
+                for kind, path in (("model", checkpoint(name)), ("folded", folded)):
                     done = qsat("eval", name, "--init", path)
                     (eval_dir / f"{name}.{kind}.stdout").write_bytes(done.stdout)
+            if name == POOL_RUN:
                 outputs = Path(tmp, "folded_outputs")
                 outputs.mkdir()
-                subprocess.run([sys.executable, "-c", FOLDED_OUTPUTS, str(configs[name]),
-                                os.path.join(tmp, "fold", "folded.ckpt"), str(outputs),
-                                str(POOL_IMAGES)], env=env, cwd=tmp, check=True)
+                subprocess.run([sys.executable, "-c", FOLDED_OUTPUTS, str(configs[name]), folded,
+                                str(outputs), str(POOL_IMAGES)], env=env, cwd=tmp, check=True)
             # exit 1 only reports WARN/FAIL verdicts; anything else is an error
             done = qsat("diagnose", name, "--init", checkpoint(name), check=False)
             if done.returncode not in (0, 1):
