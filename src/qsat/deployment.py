@@ -178,6 +178,8 @@ def load_checkpoint(path) -> Checkpoint:
     offset = 0
     for entry, count in zip(manifest["tensors"], counts):
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor '{entry['name']}' holds a non-finite value")
         try:
             tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
         except ValueError as exc:  # an empty shape past numpy's dimension limits
@@ -189,15 +191,17 @@ def load_checkpoint(path) -> Checkpoint:
 def load_model_state(model, tensors: dict[str, np.ndarray]) -> None:
     """``model.load_state``, reporting tensors that do not fit the model (a
     missing name or another shape), and an all-zero weight of a layer whose
-    scheme clamps it, as ``CheckpointError``."""
+    scheme clamps it or of the classifier, whose spread kappa0 divides by,
+    as ``CheckpointError``."""
     try:
         model.load_state(tensors)
     except (KeyError, ShapeError) as exc:
         raise CheckpointError(exc.args[0]) from exc
-    for info in model.linear_infos():
-        if info.layer.scheme is not None and not np.any(info.layer.w.data):
-            raise CheckpointError(f"tensor '{info.name}.weight' is all zero; "
-                                  "the weight clamp needs a nonzero entry")
+    infos = model.linear_infos()
+    for info in infos:
+        if (info.layer.scheme is not None or info is infos[-1]) and not np.any(info.layer.w.data):
+            raise CheckpointError(f"tensor '{info.name}.weight' is all zero; the weight "
+                                  "clamp and kappa0 need a nonzero entry")
 
 
 def check_model_checkpoint(path, ckpt: Checkpoint, expect_hash: str | None) -> None:
@@ -624,13 +628,18 @@ def folded_from_checkpoint(path, ckpt: Checkpoint) -> FoldedModel:
              "a per-channel vector does not match the output channel count"),
             (np.all(np.abs(layer.offset) * levels < _ACC_LIMIT)
              and np.all((layer.clip >= 0) & (layer.clip * levels < _ACC_LIMIT))
-             and np.all((layer.requant >= 0) & np.isfinite(layer.requant)),
-             "clip or requant is negative, or a value is not finite or past 2^53 units"),
+             and np.all(layer.requant >= 0),
+             "clip or requant is negative, or a value is past 2^53 units"),
+            (math.isfinite(layer.in_scale) and math.isfinite(layer.out_alpha),
+             "in_scale or out_alpha is not finite"),
             (chained, "in_levels differs from the previous layer's out_levels * pool_k^2"),
             (linked, "input channels differ from the previous layer's output channels"),
         ):
             if not ok:
                 raise CheckpointError(f"{path}: layer '{layer.name}' {problem}")
+    for key in ("fc_in_scale", "logit_scale"):
+        if not math.isfinite(getattr(folded, key)):
+            raise CheckpointError(f"{path}: {key} is not finite")
     for layer in layers:
         try:
             _layer_plan(layer, exact=True)  # the integer accumulators must stay exact

@@ -4,8 +4,9 @@ and the weight-variance studies.
 kappa0 measures how close the last layer's logits sit to the softmax
 saturation region; kappa1/kappa2 are the proportionality constants of the
 gradient-variance relation between adjacent linear layers (with and
-without batch normalization).  Healthy training keeps kappa0 well below
-one and kappa1 of order one.
+without batch normalization), read off two adjacent ``DiagnosticsRecord``
+rows.  Healthy training keeps kappa0 well below one and kappa1 of order
+one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .tensor import mean_square_value, no_grad
 from .quant import RescaleMode, weight_grid
 
 __all__ = [
-    "LayerStats",
     "DiagnosticsRecord",
     "kappa0",
     "kappa1",
@@ -49,46 +49,6 @@ ETR2_HIGH = 10.0
 
 
 @dataclass
-class LayerStats:
-    """Variance snapshot of one linear layer at one step."""
-
-    n_in: int
-    n_hat: int
-    k_pool: float
-    var_weight: float
-    var_grad: float | None
-
-
-def kappa0(var_weight_last: float, n_last: int, k_pool: float) -> float:
-    """Saturation metric of the last fully-connected layer."""
-    if var_weight_last <= 0 or n_last <= 0 or k_pool <= 0:
-        raise ValueError("kappa0 inputs must be positive")
-    return n_last * var_weight_last / (k_pool * k_pool)
-
-
-def kappa1(stats_l: LayerStats, stats_l1: LayerStats) -> float:
-    """Gradient-flow constant between adjacent layers (BN case).
-
-    NaN marks a dead layer (zero gradient variance) rather than raising.
-    """
-    if not stats_l.var_grad or not stats_l1.var_grad:
-        return float("nan")
-    weight_ratio = (stats_l.n_in * stats_l.var_weight) / (
-        stats_l1.n_hat * stats_l1.var_weight
-    )
-    grad_ratio = stats_l.var_grad / stats_l1.var_grad
-    return (stats_l.k_pool**2) * weight_ratio * grad_ratio
-
-
-def kappa2(stats_l: LayerStats, stats_l1: LayerStats) -> float:
-    """Gradient-flow constant between adjacent layers (no-BN case)."""
-    if not stats_l.var_grad or not stats_l1.var_grad:
-        return float("nan")
-    denom = stats_l1.n_hat * stats_l1.var_weight * stats_l1.var_grad
-    return (stats_l.k_pool**4) * stats_l.var_grad / denom
-
-
-@dataclass
 class DiagnosticsRecord:
     """Per-step, per-layer snapshot row.
 
@@ -109,18 +69,35 @@ class DiagnosticsRecord:
     lr: float | None
 
 
-def _layer_stats(info) -> LayerStats:
-    eff = info.layer.last_effective
-    if eff is None:
-        with no_grad():
-            eff = info.layer.effective()
-    return LayerStats(
-        n_in=info.layer.n_in,
-        n_hat=info.layer.n_hat,
-        k_pool=info.k_pool,
-        var_weight=mean_square_value(eff.data),
-        var_grad=None if eff.grad is None else mean_square_value(eff.grad),
+def kappa0(var_weight_last: float, n_last: int, k_pool: float) -> float:
+    """Saturation metric of the last fully-connected layer."""
+    if var_weight_last <= 0 or n_last <= 0 or k_pool <= 0:
+        raise ValueError("kappa0 inputs must be positive")
+    return n_last * var_weight_last / (k_pool * k_pool)
+
+
+def kappa1(row_l: DiagnosticsRecord, row_l1: DiagnosticsRecord) -> float:
+    """Gradient-flow constant between the rows of adjacent layers l and
+    l+1 (BN case).
+
+    NaN marks a dead layer (zero gradient variance) rather than raising.
+    """
+    if not row_l.var_grad or not row_l1.var_grad:
+        return float("nan")
+    weight_ratio = (row_l.n_in * row_l.var_weight) / (
+        row_l1.n_hat * row_l1.var_weight
     )
+    grad_ratio = row_l.var_grad / row_l1.var_grad
+    return (row_l.k_pool**2) * weight_ratio * grad_ratio
+
+
+def kappa2(row_l: DiagnosticsRecord, row_l1: DiagnosticsRecord) -> float:
+    """Gradient-flow constant between the rows of adjacent layers l and
+    l+1 (no-BN case)."""
+    if not row_l.var_grad or not row_l1.var_grad:
+        return float("nan")
+    denom = row_l1.n_hat * row_l1.var_weight * row_l1.var_grad
+    return (row_l.k_pool**4) * row_l.var_grad / denom
 
 
 def collect_records(model, step: int, lr: float | None) -> list[DiagnosticsRecord]:
@@ -135,34 +112,34 @@ def collect_records(model, step: int, lr: float | None) -> list[DiagnosticsRecor
     kappa1 and kappa2 stay blank.
     """
     infos = model.linear_infos()
-    stats = [_layer_stats(info) for info in infos]
     records = []
-    last = len(infos) - 1
-    for i, (info, st) in enumerate(zip(infos, stats)):
-        k0 = k1 = k2 = None
-        if i == last:
-            k0 = kappa0(st.var_weight, st.n_in, infos[i].preceding_pool_k)
-        elif not info.skip_boundary:
-            nxt = stats[i + 1]
-            if st.var_grad is not None and nxt.var_grad is not None:
-                k1 = kappa1(st, nxt)
-                k2 = kappa2(st, nxt)
+    for info in infos:
+        eff = info.layer.last_effective
+        if eff is None:
+            with no_grad():
+                eff = info.layer.effective()
         records.append(
             DiagnosticsRecord(
                 step=step,
                 layer=info.index,
-                n_in=st.n_in,
-                n_hat=st.n_hat,
+                n_in=info.layer.n_in,
+                n_hat=info.layer.n_hat,
                 k_pool=info.k_pool,
-                var_weight=st.var_weight,
-                var_grad=st.var_grad,
-                kappa0=k0,
-                kappa1=k1,
-                kappa2=k2,
+                var_weight=mean_square_value(eff.data),
+                var_grad=None if eff.grad is None else mean_square_value(eff.grad),
+                kappa0=None,
+                kappa1=None,
+                kappa2=None,
                 alpha=info.pact.alpha_value if info.pact else None,
                 lr=lr,
             )
         )
+    last = records[-1]
+    last.kappa0 = kappa0(last.var_weight, last.n_in, infos[-1].preceding_pool_k)
+    for info, row, upper in zip(infos, records, records[1:]):
+        if not info.skip_boundary and row.var_grad is not None and upper.var_grad is not None:
+            row.kappa1 = kappa1(row, upper)
+            row.kappa2 = kappa2(row, upper)
     return records
 
 
@@ -203,8 +180,8 @@ def etr_check(model, records: list[DiagnosticsRecord]) -> EtrReport:
 
     Rule 1 (logit saturation): kappa0 of the last layer < 0.1 passes,
     < 1 warns, otherwise fails.  Rule 2 (gradient scale): every linear
-    layer without a following BN must either have rescaling enabled or a
-    weight variance commensurate with 1/fan_out.
+    layer no BN follows must either have rescaling enabled or, in its row
+    of ``records``, a ``var_weight`` commensurate with 1/fan_out.
     """
     rows = []
     k0_values = [r.kappa0 for r in records if r.kappa0 is not None]
@@ -212,22 +189,15 @@ def etr_check(model, records: list[DiagnosticsRecord]) -> EtrReport:
         worst = max(k0_values)
         verdict = "PASS" if worst < ETR1_PASS else ("WARN" if worst < ETR1_WARN else "FAIL")
         rows.append(EtrRow("ETR-I", "last-layer", verdict, worst))
-    infos = model.linear_infos()
-    latest: dict[int, DiagnosticsRecord] = {}
-    for r in records:
-        latest[r.layer] = r
-    for info in infos:
+    latest = {r.layer: r for r in records}
+    for info in model.linear_infos():
         layer = info.layer
-        if layer.follows_bn:
+        if info.follows_bn:
             continue
         if layer.scheme is not None and layer.scheme.rescale is not RescaleMode.NONE:
             rows.append(EtrRow("ETR-II", info.name, "PASS", None, "rescale enabled"))
             continue
-        rec = latest.get(info.index)
-        var_w = rec.var_weight if rec else mean_square_value(
-            layer.last_effective.data if layer.last_effective is not None else layer.w.data
-        )
-        product = var_w * layer.n_hat
+        product = latest[info.index].var_weight * layer.n_hat
         ok = ETR2_LOW <= product <= ETR2_HIGH
         rows.append(
             EtrRow("ETR-II", info.name, "PASS" if ok else "FAIL", product,

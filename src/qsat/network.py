@@ -2,7 +2,11 @@
 forward that runs it, and the model presets used throughout.
 
 Each preset is one table: a ``LayerRecord`` per linear layer, holding it
-with its BN, activation, pools and residual ends in forward order.
+with its BN, activation, pools and residual ends in forward order.  The
+records list modules only; whether a BN follows a layer, whether its output
+feeds a residual add, and its fan-out are read off the table
+(``Model.linear_infos``), and the quantization schemes are assigned from
+those reads.
 
 Presets:
 
@@ -187,8 +191,6 @@ class _WeightLayer:
     sampled after backward.
     """
 
-    follows_bn = False
-
     def __init__(self, name: str, shape: tuple, n_in: int, n_hat: int,
                  scheme: QuantScheme | None, rng: np.random.Generator | None, dtype):
         self.name = name
@@ -211,14 +213,13 @@ class Conv2dLayer(_WeightLayer):
 
     def __init__(self, name: str, in_channels: int, out_channels: int,
                  kernel: int, stride: int = 1, pad: int = 0,
-                 scheme: QuantScheme | None = None, follows_bn: bool = False,
+                 scheme: QuantScheme | None = None,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         super().__init__(name, (out_channels, in_channels, kernel, kernel),
                          in_channels * kernel * kernel, out_channels * kernel * kernel,
                          scheme, rng, dtype)
         self.stride = stride
         self.pad = pad
-        self.follows_bn = follows_bn
 
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.effective(), stride=self.stride, pad=self.pad)
@@ -249,14 +250,17 @@ class Pool:
 
 @dataclass
 class LinearInfo:
-    """Per-linear-layer metadata the diagnostics sample each step."""
+    """One linear layer's structure as read off the layer table: what the
+    diagnostics sample, the training rules check and ``build_preset``
+    assigns schemes from."""
 
     index: int
     name: str
     layer: Conv2dLayer | DenseLayer
     k_pool: float          # pool kernel of this layer's own block (1 if none)
     pact: PactState | None
-    skip_boundary: bool    # output feeds a residual add
+    skip_boundary: bool    # a residual end lies between it and the next layer
+    follows_bn: bool       # the next module in forward order is a BN
     preceding_pool_k: float = 1.0  # pool kernel directly before this layer
 
 
@@ -278,7 +282,6 @@ class LayerRecord:
     """
 
     modules: list[tuple[str, object]]
-    skip_boundary: bool  # the layer's output feeds a residual add
 
     def __post_init__(self):
         self.modules = [(prefix, m) for prefix, m in self.modules if m is not None]
@@ -358,20 +361,27 @@ class Model:
     def linear_infos(self) -> list[LinearInfo]:
         """One row per record.  A pool before the layer sets its
         ``preceding_pool_k``; a pool after it sets its ``k_pool`` and the
-        next layer's ``preceding_pool_k``."""
+        next layer's ``preceding_pool_k``.  Of the modules between the layer
+        and the next one in forward order, a BN first sets ``follows_bn``
+        and a ``SKIP_KEEP`` or ``SKIP_ADD`` sets ``skip_boundary``."""
+        flat = [m for record in self.layer_table for _, m in record.modules]
+        at = [i for i, m in enumerate(flat) if isinstance(m, (Conv2dLayer, DenseLayer))]
+        afters = [flat[i + 1:j] for i, j in zip(at, at[1:] + [len(flat)])]
         infos = []
         preceding = 1.0
-        for index, record in enumerate(self.layer_table):
+        for index, (record, after) in enumerate(zip(self.layer_table, afters)):
             info = None
             for _, module in record.modules:
                 if isinstance(module, Pool) and info is None:
                     preceding = float(module.k)
                 elif isinstance(module, Pool):
                     info.k_pool = float(module.k)
-                elif module is record.layer:
+                elif isinstance(module, (Conv2dLayer, DenseLayer)):
                     info = LinearInfo(index, module.name, module, k_pool=1.0,
                                       pact=record.find(PactState),
-                                      skip_boundary=record.skip_boundary,
+                                      skip_boundary=any(m is SKIP_KEEP or m is SKIP_ADD
+                                                        for m in after),
+                                      follows_bn=bool(after) and isinstance(after[0], BatchNorm2d),
                                       preceding_pool_k=preceding)
             infos.append(info)
             preceding = info.k_pool
@@ -472,11 +482,13 @@ def build_preset(
 ) -> Model:
     """Build one of the named presets, wiring quantization schemes in.
 
-    Rescaling, when enabled, is applied to linear layers without a following
-    BN and to the final FC; BN-backed convs keep their weight scales
-    commensurate on their own.  Weight-quantized first/last layers are held
-    at ``first_last_bits`` minimum (pass ``"uniform"`` to quantize them like
-    every other layer).
+    The table is built first; each layer's scheme is then assigned from its
+    ``LinearInfo``.  Rescaling, when enabled, is applied to the linear
+    layers no BN follows, the final FC among them; BN-backed convs keep
+    their weight scales commensurate on their own.  Weight-quantized
+    first/last layers are held at ``first_last_bits`` minimum (pass
+    ``"uniform"`` to quantize them like every other layer).  A layer's
+    ``layer_overrides`` entry sets its bits or rescale mode outright.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset '{name}'; expected one of {PRESETS}")
@@ -486,28 +498,6 @@ def build_preset(
     abits = _normalize_bits(act_bits)
     overrides = layer_overrides or {}
     rng = np.random.default_rng([seed, 0x5CA1E])
-
-    n_linear = linear_layer_count(name)
-
-    def layer_bits(idx: int) -> int | None | str:
-        o = overrides.get(idx, {})
-        if "bits" in o:
-            return _normalize_bits(o["bits"])
-        if wbits in ("raw", None):
-            return wbits
-        if idx in (0, n_linear - 1) and first_last_bits != "uniform":
-            return max(wbits, int(first_last_bits))
-        return wbits
-
-    def layer_scheme(idx: int, fan_out: int, follows_bn: bool) -> QuantScheme | None:
-        bits = layer_bits(idx)
-        if bits == "raw":
-            return None
-        o = overrides.get(idx, {})
-        mode = o.get("rescale")
-        if mode is None:
-            mode = rescale if (not follows_bn or idx == n_linear - 1) else RescaleMode.NONE
-        return QuantScheme(bits=bits, rescale=mode, fan_out=fan_out)
 
     def activation(prefix: str) -> tuple[str, object]:
         """PACT under ``prefix``, or a ReLU where activations stay full
@@ -519,48 +509,63 @@ def build_preset(
 
     table: list[LayerRecord] = []
 
-    def conv(layer_name: str, cin: int, cout: int, follows_bn: bool) -> Conv2dLayer:
-        return Conv2dLayer(layer_name, cin, cout, 3, pad=1,
-                           scheme=layer_scheme(len(table), cout * 9, follows_bn),
-                           follows_bn=follows_bn, rng=rng, dtype=dtype)
+    def conv(layer_name: str, cin: int, cout: int) -> Conv2dLayer:
+        return Conv2dLayer(layer_name, cin, cout, 3, pad=1, rng=rng, dtype=dtype)
 
     if name.startswith("convnet"):
         pools = _POOL_PLANS[image_size]
         cin = in_channels
         for i, cout in enumerate(_CONVNET_CHANNELS):
             has_bn = not (name == "convnet-nobn-tail" and i == len(_CONVNET_CHANNELS) - 1)
-            layer = conv(f"block{i + 1}", cin, cout, has_bn)
+            layer = conv(f"block{i + 1}", cin, cout)
             table.append(LayerRecord([
                 (layer.name, layer),
                 (f"{layer.name}.bn", BatchNorm2d(cout, dtype=dtype) if has_bn else None),
                 activation(f"{layer.name}.pact"),
                 ("", Pool(pools[i]) if i in pools else None),
-            ], skip_boundary=False))
+            ]))
             cin = cout
         tail = []
     else:
         # pre-activation residual blocks: BN -> activation -> conv, twice,
         # added to the block's input
         cin = 16  # every layer's width
-        stem = conv("stem", in_channels, cin, False)
-        table.append(LayerRecord([(stem.name, stem), ("", Pool(2))], skip_boundary=True))
+        stem = conv("stem", in_channels, cin)
+        table.append(LayerRecord([(stem.name, stem), ("", Pool(2))]))
         for b, pool in (("res1", Pool(2)), ("res2", None)):
-            conv1 = conv(f"{b}.conv1", cin, cin, True)
+            conv1 = conv(f"{b}.conv1", cin, cin)
             table.append(LayerRecord([
                 ("", SKIP_KEEP), (f"{b}.bn1", BatchNorm2d(cin, dtype=dtype)),
                 activation(f"{b}.pact1"), (conv1.name, conv1),
-            ], skip_boundary=False))
-            conv2 = conv(f"{b}.conv2", cin, cin, False)
+            ]))
+            conv2 = conv(f"{b}.conv2", cin, cin)
             table.append(LayerRecord([
                 (f"{b}.bn2", BatchNorm2d(cin, dtype=dtype)), activation(f"{b}.pact2"),
                 (conv2.name, conv2), ("", SKIP_ADD), ("", pool),
-            ], skip_boundary=True))
+            ]))
         tail = [("tail.bn", BatchNorm2d(cin, dtype=dtype)), activation("tail.pact"),
                 ("", Pool(image_size // 4))]
-    fc = DenseLayer("fc", cin, classes, scheme=layer_scheme(len(table), classes, False),
-                    rng=rng, dtype=dtype)
-    table.append(LayerRecord([*tail, (fc.name, fc)], skip_boundary=False))
+    fc = DenseLayer("fc", cin, classes, rng=rng, dtype=dtype)
+    table.append(LayerRecord([*tail, (fc.name, fc)]))
     model = Model(table, name)
+
+    infos = model.linear_infos()
+    edges = (0, len(infos) - 1)
+    for info in infos:
+        o = overrides.get(info.index, {})
+        if "bits" in o:
+            bits = _normalize_bits(o["bits"])
+        elif isinstance(wbits, int) and info.index in edges and first_last_bits != "uniform":
+            bits = max(wbits, int(first_last_bits))
+        else:
+            bits = wbits
+        if bits == "raw":
+            continue
+        mode = o.get("rescale")
+        if mode is None:
+            # nothing follows the classifier, so it is rescaled too
+            mode = RescaleMode.NONE if info.follows_bn else rescale
+        info.layer.scheme = QuantScheme(bits=bits, rescale=mode, fan_out=info.layer.n_hat)
 
     for msg in validate_model(model):
         log.warning("%s: %s", name, msg)
@@ -578,7 +583,7 @@ def validate_model(model: Model) -> list[str]:
     infos = model.linear_infos()
     for info in infos:
         layer = info.layer
-        if layer.scheme is not None and not layer.follows_bn:
+        if layer.scheme is not None and not info.follows_bn:
             if layer.scheme.rescale is RescaleMode.NONE:
                 out.append(
                     f"layer '{info.name}' has no following BN and no rescale"

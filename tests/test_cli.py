@@ -475,6 +475,37 @@ class TestCheckpointFit:
         assert "checkpoint error" in err and "block1.bn.running_var" in err
         assert f"({channels},) vs model shape (16,)" in err
 
+    @pytest.mark.parametrize("tensor", ["fc.weight", "block2.bn.running_var"])
+    @pytest.mark.parametrize("name", ["eval", "diagnose", "fold", "train"])
+    def test_non_finite_tensor_is_exit_two(self, tmp_path, tiny_config, capsys, name, tensor):
+        from qsat.deployment import save_checkpoint
+        from qsat.training import build_model_from_config, parse_config_file
+
+        cfg = tiny_config("raw.cfg", bits="raw")
+        model = build_model_from_config(parse_config_file(cfg), (3, 32, 32), 10)
+        owner = next(t for n, _, t in model.named_state() if n == tensor)
+        owner.data.flat[1] = np.nan
+        save_checkpoint(model, tmp_path / "nan.ckpt")
+        code, _, err = run_cli(capsys, *self.command(name, cfg, str(tmp_path / "nan.ckpt"),
+                                                     tmp_path))
+        assert code == 2
+        assert "checkpoint error" in err and f"tensor '{tensor}' holds a non-finite" in err
+
+    @pytest.mark.parametrize("name", ["eval", "diagnose", "fold", "train"])
+    def test_all_zero_raw_classifier_is_exit_two(self, tmp_path, tiny_config, capsys, name):
+        # kappa0 divides by the classifier's spread, whatever its scheme
+        from qsat.deployment import save_checkpoint
+        from qsat.training import build_model_from_config, parse_config_file
+
+        cfg = tiny_config("raw.cfg", bits="raw")
+        model = build_model_from_config(parse_config_file(cfg), (3, 32, 32), 10)
+        model.layer_table[-1].layer.w.data[...] = 0.0
+        save_checkpoint(model, tmp_path / "zero.ckpt")
+        code, _, err = run_cli(capsys, *self.command(name, cfg, str(tmp_path / "zero.ckpt"),
+                                                     tmp_path))
+        assert code == 2
+        assert "checkpoint error" in err and "'fc.weight' is all zero" in err
+
     def test_classes_seen_only_in_validation_fit_every_command(self, tmp_path, capsys):
         # train holds labels 0-2 and test labels 0-3: every command sizes
         # the classifier for four classes

@@ -1,7 +1,8 @@
 """Literal pins of the model's layer lists: checkpoint (name, role) order,
 ``parameters()`` order and every ``LinearInfo`` field, for the three presets,
-the op names one training-mode forward puts on the tape, and the tensor
-engine's public names.
+each layer's quantization scheme under five build settings, the op names one
+training-mode forward puts on the tape, and the tensor engine's public
+names.
 
 Checkpoint order defines the payload order of every checkpoint file, and
 ``LinearInfo`` feeds the diagnostics rows and the folded walk, so these lists
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from qsat import tensor
-from qsat.network import build_preset
+from qsat.network import PRESETS, build_preset, linear_layer_count
 from qsat.quant import RescaleMode
 
 CONVNET_BN_Q4_STATE = [
@@ -151,29 +152,39 @@ PRERESNET_RAW_PARAMS = [
 ]
 
 # (index, name, k_pool, pact alpha's checkpoint name, skip_boundary,
-#  preceding_pool_k) per linear layer, at 32x32 images
+#  follows_bn, preceding_pool_k) per linear layer, at 32x32 images
 CONVNET_INFOS_32 = [
-    (0, "block1", 2.0, "block1.pact.alpha", False, 1.0),
-    (1, "block2", 1.0, "block2.pact.alpha", False, 2.0),
-    (2, "block3", 2.0, "block3.pact.alpha", False, 1.0),
-    (3, "block4", 1.0, "block4.pact.alpha", False, 2.0),
-    (4, "block5", 2.0, "block5.pact.alpha", False, 1.0),
-    (5, "block6", 4.0, "block6.pact.alpha", False, 2.0),
-    (6, "fc", 1.0, None, False, 4.0),
+    (0, "block1", 2.0, "block1.pact.alpha", False, True, 1.0),
+    (1, "block2", 1.0, "block2.pact.alpha", False, True, 2.0),
+    (2, "block3", 2.0, "block3.pact.alpha", False, True, 1.0),
+    (3, "block4", 1.0, "block4.pact.alpha", False, True, 2.0),
+    (4, "block5", 2.0, "block5.pact.alpha", False, True, 1.0),
+    (5, "block6", 4.0, "block6.pact.alpha", False, True, 2.0),
+    (6, "fc", 1.0, None, False, False, 4.0),
+]
+
+CONVNET_NOBN_TAIL_FP_INFOS_32 = [
+    (0, "block1", 2.0, None, False, True, 1.0),
+    (1, "block2", 1.0, None, False, True, 2.0),
+    (2, "block3", 2.0, None, False, True, 1.0),
+    (3, "block4", 1.0, None, False, True, 2.0),
+    (4, "block5", 2.0, None, False, True, 1.0),
+    (5, "block6", 4.0, None, False, False, 2.0),
+    (6, "fc", 1.0, None, False, False, 4.0),
 ]
 
 PRERESNET_INFOS_32 = [
-    (0, "stem", 2.0, None, True, 1.0),
-    (1, "res1.conv1", 1.0, "res1.pact1.alpha", False, 2.0),
-    (2, "res1.conv2", 2.0, "res1.pact2.alpha", True, 1.0),
-    (3, "res2.conv1", 1.0, "res2.pact1.alpha", False, 2.0),
-    (4, "res2.conv2", 1.0, "res2.pact2.alpha", True, 1.0),
-    (5, "fc", 1.0, "tail.pact.alpha", False, 8.0),
+    (0, "stem", 2.0, None, True, False, 1.0),
+    (1, "res1.conv1", 1.0, "res1.pact1.alpha", False, True, 2.0),
+    (2, "res1.conv2", 2.0, "res1.pact2.alpha", True, False, 1.0),
+    (3, "res2.conv1", 1.0, "res2.pact1.alpha", False, True, 2.0),
+    (4, "res2.conv2", 1.0, "res2.pact2.alpha", True, False, 1.0),
+    (5, "fc", 1.0, "tail.pact.alpha", False, False, 8.0),
 ]
 
 
 def _without_alpha(infos):
-    return [(i, n, k, None, skip, pre) for i, n, k, _, skip, pre in infos]
+    return [(i, n, k, None, *rest) for i, n, k, _, *rest in infos]
 
 
 MODELS = {
@@ -184,7 +195,7 @@ MODELS = {
     "convnet-nobn-tail-fp": (
         "convnet-nobn-tail", dict(weight_bits="fp"),
         CONVNET_NOBN_TAIL_FP_STATE, [CONVNET_NOBN_TAIL_FP_PARAMS],
-        _without_alpha(CONVNET_INFOS_32),
+        CONVNET_NOBN_TAIL_FP_INFOS_32,
     ),
     "preresnet-toy-q4": (
         "preresnet-toy", dict(weight_bits=4, act_bits=4),
@@ -230,7 +241,7 @@ def test_linear_info_fields(key):
     got = [
         (info.index, info.name, info.k_pool,
          None if info.pact is None else names[id(info.pact.alpha)],
-         info.skip_boundary, info.preceding_pool_k)
+         info.skip_boundary, info.follows_bn, info.preceding_pool_k)
         for info in model.linear_infos()
     ]
     assert got == MODELS[key][4]
@@ -255,6 +266,59 @@ def test_pool_fields_at_28_pixels(preset, pools):
     model = build_preset(preset, image_size=28, weight_bits="fp")
     got = [(info.k_pool, info.preceding_pool_k) for info in model.linear_infos()]
     assert got == pools
+
+
+# (bits, rescale, fan_out) of each linear layer's scheme: the edge layers
+# keep 8 bits unless uniform bit-widths are asked for, rescale goes to the
+# layers no BN follows and to the classifier, a conv's fan-out is its
+# output channels times 9, and layer overrides win
+SCHEMES = {
+    "convnet-bn-2-constant": (
+        "convnet-bn", dict(weight_bits=2, rescale=RescaleMode.CONSTANT),
+        [(8, "none", 144), (2, "none", 216), (2, "none", 288), (2, "none", 288),
+         (2, "none", 216), (2, "none", 108), (8, "constant", 10)],
+    ),
+    "convnet-nobn-tail-fp-stddev": (
+        "convnet-nobn-tail", dict(weight_bits="fp", rescale=RescaleMode.STDDEV),
+        [(None, "none", 144), (None, "none", 216), (None, "none", 288),
+         (None, "none", 288), (None, "none", 216), (None, "stddev", 108),
+         (None, "stddev", 10)],
+    ),
+    "preresnet-toy-4-constant": (
+        "preresnet-toy", dict(weight_bits=4, rescale=RescaleMode.CONSTANT),
+        [(8, "constant", 144), (4, "none", 144), (4, "constant", 144),
+         (4, "none", 144), (4, "constant", 144), (8, "constant", 10)],
+    ),
+    "convnet-bn-2-uniform": (
+        "convnet-bn", dict(weight_bits=2, rescale=RescaleMode.CONSTANT,
+                           first_last_bits="uniform"),
+        [(2, "none", 144), (2, "none", 216), (2, "none", 288), (2, "none", 288),
+         (2, "none", 216), (2, "none", 108), (2, "constant", 10)],
+    ),
+    "convnet-bn-4-overrides": (
+        "convnet-bn", dict(weight_bits=4, rescale=RescaleMode.CONSTANT,
+                           layer_overrides={1: {"bits": "3"},
+                                            2: {"rescale": RescaleMode.STDDEV}}),
+        [(8, "none", 144), (3, "none", 216), (4, "stddev", 288), (4, "none", 288),
+         (4, "none", 216), (4, "none", 108), (8, "constant", 10)],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", SCHEMES)
+def test_layer_schemes(key):
+    preset, kwargs, want = SCHEMES[key]
+    model = build_preset(preset, seed=5, **kwargs)
+    got = [(s.bits, s.rescale.value, s.fan_out)
+           for s in (info.layer.scheme for info in model.linear_infos())]
+    assert got == want
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("size", [28, 32])
+def test_linear_layer_count_matches_the_table(preset, size):
+    model = build_preset(preset, image_size=size, weight_bits="fp")
+    assert linear_layer_count(preset) == len(model.layer_table)
 
 
 # the op names of one training-mode forward, one line per layer record, at

@@ -430,7 +430,25 @@ class TestFoldedValidation:
                                              ("requant", -0.5), ("offset", np.inf)])
     def test_epilogue_value_out_of_range(self, tmp_path, folded, field, value):
         getattr(folded.layers[1], field)[3] = value
-        self.rejected(tmp_path, folded, "clip or requant is negative, or a value")
+        # the checkpoint reader rejects a non-finite payload value first;
+        # requant is stored under the role "scale"
+        role = "scale" if field == "requant" else field
+        self.rejected(tmp_path, folded, "clip or requant is negative, or a value"
+                      if np.isfinite(value) else f"'L1.{role}' holds a non-finite value")
+
+    @pytest.mark.parametrize("key", ["fc_in_scale", "logit_scale"])
+    def test_non_finite_classifier_scale(self, tmp_path, folded, key):
+        self.rejected(tmp_path, folded, f"{key} is not finite",
+                      lambda m: m["meta"].__setitem__(key, float("nan")))
+
+    @pytest.mark.parametrize("key", ["in_scale", "out_alpha"])
+    def test_non_finite_layer_scale(self, tmp_path, folded, key):
+        self.rejected(tmp_path, folded, "in_scale or out_alpha is not finite",
+                      lambda m: m["meta"]["layers"][2].__setitem__(key, float("inf")))
+
+    def test_non_finite_classifier_weight(self, tmp_path, folded):
+        folded.fc_weight[1, 0] = np.nan
+        self.rejected(tmp_path, folded, "tensor 'fc.weight' holds a non-finite value")
 
     def test_check_input_walks_the_geometry(self, folded):
         folded.check_input((3, 32, 32))

@@ -11,7 +11,6 @@ from qsat import diagnostics as D
 from qsat.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
-    LayerStats,
     clamp_variance_study,
     collect_records,
     etr_check,
@@ -29,8 +28,9 @@ from qsat.training import cross_entropy
 
 
 def stats(n_in=64, n_hat=64, k_pool=1.0, var_w=1.0, var_g=1.0):
-    return LayerStats(n_in=n_in, n_hat=n_hat, k_pool=k_pool,
-                      var_weight=var_w, var_grad=var_g)
+    return DiagnosticsRecord(step=0, layer=0, n_in=n_in, n_hat=n_hat, k_pool=k_pool,
+                             var_weight=var_w, var_grad=var_g, kappa0=None, kappa1=None,
+                             kappa2=None, alpha=None, lr=None)
 
 
 class TestKappa0:

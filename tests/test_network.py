@@ -95,7 +95,7 @@ class TestBatchNorm:
 
 def run_record(modules, x, training):
     """The forward of one layer record holding ``modules``."""
-    return run_table([LayerRecord(modules, skip_boundary=False)], x, training)
+    return run_table([LayerRecord(modules)], x, training)
 
 
 class TestForwardBlock:
@@ -158,10 +158,9 @@ class TestPactSubsumesRelu:
     def test_convnet_bn_block(self, mode):
         def make():
             conv = Conv2dLayer("c", 3, 8, 3, pad=1, scheme=QuantScheme(4),
-                               follows_bn=True, rng=np.random.default_rng(40))
+                               rng=np.random.default_rng(40))
             return LayerRecord([("c", conv), ("c.bn", BatchNorm2d(8)),
-                                ("c.pact", self.pact(mode)), ("", Pool(2))],
-                               skip_boundary=False)
+                                ("c.pact", self.pact(mode)), ("", Pool(2))])
 
         def reference(r, t):
             h = r.find(BatchNorm2d)(r.layer(t), True)
@@ -240,9 +239,9 @@ class TestPresets:
     def test_nobn_tail_gets_rescale_by_default(self):
         model = build_preset("convnet-nobn-tail", weight_bits="fp",
                              rescale=RescaleMode.CONSTANT)
-        tail = model.linear_infos()[-2].layer
+        tail = model.linear_infos()[-2]
         assert not tail.follows_bn
-        assert tail.scheme.rescale is RescaleMode.CONSTANT
+        assert tail.layer.scheme.rescale is RescaleMode.CONSTANT
 
     def test_preresnet_with_fc_only_rescale_is_flagged(self):
         model = build_preset(

@@ -1,5 +1,5 @@
 """Print the sha256 of every file that ``qsat train`` writes for the three
-``perfbench/configs`` runs and four short runs derived from them, of the
+``perfbench/configs`` runs and five short runs derived from them, of the
 file ``qsat fold`` writes for each folded run, of what ``qsat eval`` prints
 for a folded run's checkpoint and for its folded file, of what ``qsat
 diagnose`` prints for each run, of the 4-bit run's folded ``forward_int``
@@ -12,7 +12,11 @@ same with the STDDEV rescale, PACT inside residual blocks (one epoch of a
 4-bit ``preresnet-toy`` fine-tune from the raw run), and the LEGACY clip
 gradient with a folded conv that has no BN (one epoch of a 4-bit
 ``convnet-nobn-tail`` fine-tune with ``pact_mode=legacy`` from the
-full-precision ``convnet-nobn-tail`` run).  Their configs are the base
+full-precision ``convnet-nobn-tail`` run), and the scheme paths of uniform
+edge bit-widths and per-layer overrides (one epoch of a 4-bit
+``convnet-bn`` fine-tune from the full-precision run with
+``first_last_bits=uniform``, ``layer2.bits=3`` and
+``layer3.rescale=stddev``).  Their configs are the base
 configs with some keys replaced, written to the temporary directory.
 
 The folded runs are the 4-bit run and the LEGACY ``convnet-nobn-tail`` run.
@@ -51,6 +55,9 @@ RUNS = (
     ("nobn-legacy-q4", "q4_convnet.cfg",
      {"preset": "convnet-nobn-tail", "epochs": 1, "warmup_epochs": 0, "pact_mode": "legacy"},
      "nobn-fp"),
+    ("q4-overrides", "q4_convnet.cfg",
+     {"epochs": 1, "warmup_epochs": 0, "first_last_bits": "uniform", "layer2.bits": 3,
+      "layer3.rescale": "stddev"}, "fp"),
 )
 FOLDED_RUNS = ("q4", "nobn-legacy-q4")
 POOL_RUN = "q4"  # one of FOLDED_RUNS
