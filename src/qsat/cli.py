@@ -7,7 +7,8 @@ invocation; progress and warnings go to stderr.  Exit codes are stable:
   1  diagnose found WARN/FAIL verdicts
   2  config/checkpoint/argument problems
   3  dataset problems
-  4  numerical divergence (last per-epoch checkpoint is retained)
+  4  numerical divergence: a non-finite loss, or non-finite model state at an
+     epoch's end (the last per-epoch checkpoint with finite state is retained)
   5  batch-norm folding not applicable to the model
 
 ``QSAT_THREADS`` caps kernel parallelism; it must be set before numpy is

@@ -10,6 +10,12 @@ activation, yielding an inference path that carries activations as integer
 grid indices with one real-valued rescale per layer.  It applies only to
 plain chains of quantized conv -> BN -> clipped activation; residual
 models are rejected.
+
+The folded paths lower their convolutions on their own, with patch-row
+columns in (ki, kj, c) order, which copies k*c-long contiguous runs of
+the channels-last activations.  The training lowering keeps (c, ki, kj)
+order to fix the bits of its float32 GEMMs; the folded GEMMs need no
+order, because every partial sum they make is exact (see ``_forward``).
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ShapeError, _conv_extent, _images_per_chunk, _lower_range
+from .tensor import ShapeError, _conv_extent, _images_per_chunk
 from .quant import PactState, RescaleMode, rescale_scalar, weight_grid
 from .network import BN_EPS, BatchNorm2d, Pool
 
@@ -245,6 +252,9 @@ class FoldedLayer:
     channels' weights and uses the magnitude of the scale).  ``offset`` and
     ``clip`` live in units of the real weight-times-integer-input product;
     ``requant`` maps the integer accumulator onto the next activation grid.
+    ``in_scale`` (the real value of one input level) and ``out_alpha``
+    (the activation's clip level) record the scales the fold made those
+    three from; neither forward reads them.
     """
 
     name: str
@@ -303,8 +313,13 @@ class FoldedModel:
 
         Each conv is a float32 or float64 GEMM whose partial sums are all
         integers the dtype holds exactly (``_layer_plan``), so the result
-        is that of int64 arithmetic.  The last layer's positive rescale
-        factor is dropped, which leaves the logit argmax unchanged.
+        is that of int64 arithmetic whatever the GEMM's column order or
+        summation order.  Each level is clipped at 0 before the rescale and
+        at the top after the rounding, by a per-channel cap that is the
+        rounded clip; that equals clipping before the rescale, because the
+        float64 rounding is monotone (``_layer_plan``).  The last layer's
+        positive rescale factor is dropped, which leaves the logit argmax
+        unchanged.
         """
         x = np.rint(images)
         # written so that a NaN pixel fails it
@@ -336,17 +351,22 @@ class FoldedModel:
         """The layer loop of both paths.
 
         Each conv runs over ranges of whole images whose patch rows fill
-        about ``tensor._LOWERING_CHUNK_BYTES``.  A range is lowered, put
-        through one GEMM, the per-channel epilogue in float64 and the
-        pooling while it is still in cache, in buffers made once per layer
-        and call.  Layer k writes its activations, channels last, in layer
-        k+1's GEMM dtype, and the last layer writes float64.  On the exact
+        about ``tensor._LOWERING_CHUNK_BYTES``.  A range is copied into a
+        padded buffer, lowered into patch rows with columns in (ki, kj, c)
+        order by one copy from ``_patch_windows``' view, put through one
+        GEMM, the per-channel epilogue and the pooling while it is still in
+        cache, in buffers and views made once per layer and call.  Layer k
+        writes its activations, channels last, in layer k+1's GEMM dtype,
+        and the last layer writes float64.  On the exact
         path they are integers that dtype holds, so the pooled sums and the
         casts are exact in any order.  On the float path every grid weight
         is a multiple of 2^-24 no larger than 1 in magnitude, so while
         fan-in times ``in_levels`` stays below 2^29 the float64 partial sums
-        over integer activations are exact too, and the ranges change no
-        bit there either.
+        over integer activations are exact too.  So on both paths neither
+        the ranges nor the column order change a bit.  The epilogue adds
+        the offset and clips at 0 in the GEMM's buffer, then scales into a
+        float64 buffer, rounds, and applies the cap; only the float path
+        clips at the top before it scales (``_layer_plan``).
         """
         batch = len(x)
         margin = np.full(batch, np.inf)
@@ -354,37 +374,40 @@ class FoldedModel:
         plans = [_layer_plan(layer, exact) for layer in self.layers]
         out_dtypes = [plan[0] for plan in plans[1:]] + [np.float64]
         for layer, plan, out_dtype in zip(self.layers, plans, out_dtypes):
-            dtype, wmat, offset, clip, requant = plan
+            dtype, wmat, offset, clip, requant, cap = plan
             _, h, w, c = x.shape
             co, k, p = wmat.shape[1], layer.weight_idx.shape[-1], layer.pool_k
             ho, wo, hp, wp = _conv_extent(h, w, k, layer.stride, layer.pad)
             step = max(1, min(batch, _images_per_chunk(ho * wo * c * k * k * np.dtype(dtype).itemsize)))
             # the epilogue sees (rows, wo * co) views with the per-channel
             # vectors tiled wo times, so numpy's inner loops are long
-            offset, clip, requant = (np.tile(v, wo) for v in (offset, clip, requant))
-            col = np.empty((step, ho, wo, c, k, k), dtype)
+            offset, clip, requant, cap = (np.tile(v, wo) for v in (offset, clip, requant, cap))
+            col = np.empty((step, ho, wo, k, k * c), dtype)
             padded = np.zeros((step, hp, wp, c), dtype)
-            gemm, acc = np.empty((step * ho, wo * co), dtype), np.empty((step * ho, wo * co))
+            inner = padded[:, layer.pad : layer.pad + h, layer.pad : layer.pad + w]
+            windows = _patch_windows(padded, k, layer.stride)
+            gemm, scaled = np.empty((step * ho, wo * co), dtype), np.empty((step * ho, wo * co))
             out = np.empty((batch, ho // p, wo // p, co), out_dtype)
             pre = np.empty((step, ho, wo, co), out_dtype) if p > 1 else None
             for s in range(0, batch, step):
                 m = min(step, batch - s)
-                g, a, dst = gemm[: m * ho], acc[: m * ho], out[s : s + m]
-                _lower_range(x[s : s + m], col[:m], padded, layer.stride, layer.pad)
+                g, a, dst = gemm[: m * ho], scaled[: m * ho], out[s : s + m]
+                inner[:m] = x[s : s + m]
+                col[:m] = windows[:m]
                 np.matmul(col[:m].reshape(m * ho * wo, -1), wmat, out=g.reshape(-1, co))
-                np.copyto(a, g)
-                a += offset
-                np.maximum(a, 0.0, out=a)
-                np.minimum(a, clip, out=a)
-                a *= requant
+                # on the exact path, integers the GEMM dtype holds
+                g += offset
+                np.maximum(g, 0.0, out=g)
+                if not exact:
+                    # the exact path clips in its cap (_layer_plan)
+                    np.minimum(g, clip, out=g)
+                np.multiply(g, requant, out=a)
                 if not exact:
                     frac = np.abs(a - np.floor(a) - 0.5).reshape(m, -1)
                     np.minimum(margin[s : s + m], frac.min(axis=1), out=margin[s : s + m])
                 a += 0.5
                 np.floor(a, out=a)
-                # clips and requant factors are at least 0, so nothing
-                # below 0 is left to round
-                np.minimum(a, layer.out_levels, out=(dst if p == 1 else pre[:m]).reshape(a.shape))
+                np.minimum(a, cap, out=(dst if p == 1 else pre[:m]).reshape(a.shape))
                 if p > 1:
                     win = pre[:m].reshape(m, ho // p, p, wo // p, p, co)
                     np.copyto(dst, win[:, :, 0, :, 0])
@@ -396,18 +419,31 @@ class FoldedModel:
 
 
 def _layer_plan(layer: FoldedLayer, exact: bool):
-    """One layer's GEMM dtype, (c*k*k, co) weight matrix, and float64
-    offset, clip and requant vectors, on the exact or the float path.
+    """One layer's GEMM dtype, (k*k*c, co) weight matrix with rows in
+    ``_patch_windows``' (ki, kj, c) order, offset vector in the GEMM dtype,
+    and float64 clip, requant and cap vectors, on the exact or the float
+    path.
 
     On the exact path no partial sum exceeds B, the largest per-channel sum
-    of |signed weight| times ``in_levels``, in any summation order.  The
-    GEMM runs in float32 when B is below 2^24 and in float64 otherwise,
-    which holds every integer below 2^53; the float64 epilogue adds the
-    rounded offset, so B plus it must stay below 2^53.
+    of |signed weight| times ``in_levels``, in any summation order, and the
+    accumulator plus its rounded offset stays within B plus the largest
+    offset.  The GEMM runs in float32 when that sum is below 2^24 and in
+    float64 otherwise, which holds every integer below 2^53, so the offset
+    add and the clip at 0 are exact in the GEMM's own dtype; past 2^53 the
+    layer cannot run.
+
+    The exact path clips at the top after rounding.  With f(v) = floor(v *
+    requant + 0.5) in float64, f is monotone for requant >= 0
+    (``load_folded`` rejects a negative one), so f(min(v, clip)) equals
+    min(f(v), f(clip)).  The cap is f(clip), made by the same float64 ops,
+    or ``out_levels`` where that is lower, so one minimum applies both.
+    The float path clips before it scales, since its margin reads the
+    clipped argument; its cap is ``out_levels``.
     """
     if not exact:
         weights, dtype = layer.grid_weights, np.float64
         offset, clip, requant = layer.offset, layer.clip, layer.requant * layer.weight_levels
+        cap = np.full(len(clip), float(layer.out_levels))
     else:
         # offsets and clips rounded to whole accumulator units
         weights, requant = layer.signed_weights, layer.requant
@@ -419,9 +455,28 @@ def _layer_plan(layer: FoldedLayer, exact: bool):
                 f"layer '{layer.name}': integer accumulator bound {worst} reaches "
                 "2^53, past what float64 holds exactly"
             )
-        dtype = np.float32 if bound < 2**24 else np.float64
-    wmat = weights.reshape(len(weights), -1).T.astype(dtype)
-    return dtype, wmat, *(np.asarray(v, dtype=np.float64) for v in (offset, clip, requant))
+        dtype = np.float32 if worst < 2**24 else np.float64
+        cap = np.minimum(np.floor(clip * requant + 0.5), layer.out_levels)
+    wmat = weights.transpose(0, 2, 3, 1).reshape(len(weights), -1).T.astype(dtype)
+    return (dtype, wmat, np.asarray(offset, dtype=dtype),
+            *(np.asarray(v, dtype=np.float64) for v in (clip, requant, cap)))
+
+
+def _patch_windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """A read-only (n, ho, wo, k, k*c) view of ``xp``, a padded
+    channels-last buffer: the patch rows of its images with columns in
+    (ki, kj, c) order.
+
+    Along a padded row, the k*c values under kernel row ki at output
+    column j are one contiguous run starting at j*stride*c, so the view is
+    a window of k rows by k*c values, stepped by stride rows and stride*c
+    values.  Copying it into a buffer of its shape lowers the images with
+    k*c-long contiguous runs, where the (c, ki, kj) order of the training
+    lowering stores c-long runs at a stride of k*k.
+    """
+    n, hp, wp, c = xp.shape
+    rows = xp.reshape(n, hp, wp * c)
+    return sliding_window_view(rows, (k, k * c), axis=(1, 2))[:, ::stride, :: stride * c]
 
 
 def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:

@@ -56,7 +56,7 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Loss became non-finite during training."""
+    """Loss, or the model state at an epoch's end, became non-finite."""
 
 
 @dataclass
@@ -395,8 +395,8 @@ def train(
     Quantized configs must supply ``init_state`` (tensors from a pretrained
     full-precision checkpoint).  When ``out_dir`` is given, metrics and
     diagnostics files and a checkpoint are written there; the checkpoint is
-    refreshed at every epoch end so a divergence abort keeps the last good
-    state on disk.
+    refreshed at every epoch end whose model state is finite, so a
+    divergence abort keeps the last good state on disk, or none.
     """
     if cfg.quantized and init_state is None:
         raise ConfigError(
@@ -493,6 +493,11 @@ def train(
                 epoch, train_top1, val_top1, loss_sum / steps_per_epoch,
             )
             if out_dir is not None and save_checkpoint_fn is not None:
+                # a finite loss can leave non-finite state (BN running
+                # statistics), which no loader accepts: keep the last file
+                for name, _, t in model.named_state():
+                    if not np.isfinite(t.data).all():
+                        raise DivergenceError(f"non-finite {name} at epoch {epoch}")
                 save_checkpoint_fn(model, out_dir / "checkpoint.ckpt")
 
     if out_dir is not None:

@@ -76,6 +76,22 @@ class TestTrainCommand:
                            "out": str(tmp_path / "run")}
         assert "training diverged" in err
 
+    def test_divergence_keeps_only_a_checkpoint_that_loads(self, tmp_path, capsys):
+        # the loss stays finite through epoch 0, but BN's running variance
+        # does not; exit 4 must leave no checkpoint that eval rejects
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text(TINY.format(bits="raw", act_bits="fp").replace("epochs=2", "epochs=3")
+                       .replace("warmup_epochs=1", "warmup_epochs=0")
+                       .replace("val_size=80", "val_size=40") + "base_lr=10000\n")
+        out = tmp_path / "run"
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out))
+        assert code == 4
+        assert "training diverged" in err
+        ckpt = out / "checkpoint.ckpt"
+        if ckpt.exists():
+            code, _, err = run_cli(capsys, "eval", "--config", str(cfg), "--init", str(ckpt))
+            assert code == 0, err
+
     def test_quantized_without_init_is_config_error(self, tmp_path, tiny_config, capsys):
         cfg = tiny_config(bits="4", act_bits="4")
         code, _, err = run_cli(capsys, "train", "--config", cfg,

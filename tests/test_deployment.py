@@ -324,6 +324,18 @@ class TestIntegerForward:
         whole = folded.forward_float(images, return_margin=True)
         assert all(np.array_equal(a, b) for a, b in zip(ranged, whole))
 
+    def test_in_scale_and_out_alpha_are_not_read(self):
+        # both record the fold's scales; the forwards read only the
+        # offsets, clips and requant factors made from them
+        folded = dep.fold_bn(trained_quant_model(seed=26, steps=2))
+        rng = np.random.default_rng(260)
+        images = rng.integers(0, 256, size=(9, 3, 32, 32)).astype(np.float32)
+        before = (folded.forward_int(images), *folded.forward_float(images, return_margin=True))
+        for layer in folded.layers:
+            layer.in_scale, layer.out_alpha = 123.0, -7.0
+        after = (folded.forward_int(images), *folded.forward_float(images, return_margin=True))
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
 
 class TestFoldedContainer:
     def test_folded_round_trip(self, tmp_path):
@@ -563,6 +575,10 @@ class TestExactIntegerGemm:
     # pooled sums up to 2^25 feed the second layer, so they are float64
     @example(seed=10, in_levels=255, specs=[dict(WIDE, pool=2, out_levels=2**23), WIDE], size=2,
              batch=8, per_range=3)
+    # three input channels at stride 2, pad 1: each kernel-row window skips
+    # the columns between its output positions, and the pad border enters
+    @example(seed=3, in_levels=255, specs=[dict(WIDE, stride=2)] * 2, size=2, batch=6,
+             per_range=2)
     def test_forward_int_equals_int64_oracle(self, seed, in_levels, specs, size, batch,
                                              per_range):
         rng = np.random.default_rng(seed)
@@ -593,6 +609,48 @@ class TestExactIntegerGemm:
                                  fc_in_scale=1.0, logit_scale=1.0)
         images = np.array([2**23, 2**23 - 1, 2], dtype=float).reshape(1, 3, 1, 1)
         assert folded.forward_int(images)[0, 0] == 2**24 + 1
+
+    def test_offset_past_float32_stays_exact(self):
+        # B = 2^24 - 1 alone fits float32, but the offset takes the
+        # accumulator to 2^24 + 1, which float32 would round to 2^24
+        ones = np.ones(1)
+        layer = dep.FoldedLayer(
+            name="shifted", weight_idx=np.ones((1, 1, 1, 1)), channel_sign=ones,
+            weight_levels=1, stride=1, pad=0, in_scale=1.0, in_levels=2**24 - 1,
+            offset=2 * ones, clip=ones * 2**25, requant=ones, out_alpha=1.0,
+            out_levels=2**25, pool_k=1,
+        )
+        folded = dep.FoldedModel(layers=[layer], fc_weight=np.ones((1, 1)),
+                                 fc_in_scale=1.0, logit_scale=1.0)
+        images = np.full((1, 1, 1, 1), 2.0**24 - 1)
+        assert folded.forward_int(images)[0, 0] == 2**24 + 1
+
+    def test_clip_ends_and_rounding_ties_at_the_cap(self):
+        # a 1x1 kernel of +1 weights, so each channel's accumulator is its
+        # channel sign times the pixel; power-of-two requant factors keep
+        # every product exact, so (acc + offset) * requant + 0.5 lands on
+        # integers, at the cap among them
+        layer = dep.FoldedLayer(
+            name="edges", weight_idx=np.ones((3, 1, 1, 1)),
+            channel_sign=np.array([1.0, -1.0, 1.0]), weight_levels=1, stride=1, pad=0,
+            in_scale=1.0, in_levels=64, offset=np.array([-10.0, 40.0, -3.0]),
+            clip=np.array([18.0, 20.0, 30.0]), requant=np.array([0.25, 0.125, 0.5]),
+            out_alpha=1.0, out_levels=7, pool_k=1,
+        )
+        pixels = np.arange(65.0)
+        shifted = pixels * layer.channel_sign[:, None] + layer.offset[:, None]
+        assert np.all((shifted < 0).any(axis=1) & (shifted > layer.clip[:, None]).any(axis=1))
+        # channel 0 reaches its cap of 5 from its clip, 18 * 0.25 + 0.5 == 5,
+        # channel 1 reaches 3 from its clip (20 * 0.125 + 0.5), channel 2
+        # reaches out_levels, 7, before its clip
+        assert np.any(shifted[0] * 0.25 + 0.5 == 5) and np.any(shifted[1] * 0.125 + 0.5 == 3)
+        folded = dep.FoldedModel(layers=[layer], fc_weight=np.eye(3 * 65), fc_in_scale=1.0,
+                                 logit_scale=1.0)
+        images = pixels.reshape(1, 1, 5, 13)
+        got = folded.forward_int(images)
+        assert np.array_equal(got, int64_forward(folded, images).astype(np.float64))
+        levels = got.reshape(3, 65)
+        assert list(levels.max(axis=1)) == [5, 3, 7] and not levels.min(axis=1).any()
 
     def test_accumulator_bound_past_float64_rejected(self):
         ones = np.ones(1)

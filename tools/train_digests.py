@@ -2,7 +2,7 @@
 ``perfbench/configs`` runs and five short runs derived from them, of the
 file ``qsat fold`` writes for each folded run, of what ``qsat eval`` prints
 for a folded run's checkpoint and for its folded file, of what ``qsat
-diagnose`` prints for each run, of the 4-bit run's folded ``forward_int``
+diagnose`` prints for each run, of each folded run's ``forward_int``
 logits and ``forward_float`` logits and margins, and of the CSV files of
 the two ``qsat study`` commands, so two checkouts can be compared by a diff.
 
@@ -20,9 +20,11 @@ edge bit-widths and per-layer overrides (one epoch of a 4-bit
 configs with some keys replaced, written to the temporary directory.
 
 The folded runs are the 4-bit run and the LEGACY ``convnet-nobn-tail`` run.
-The folded outputs cover the 640-image validation pool of the 4-bit run's
-dataset (its seed, 10 training images), in batches of its batch size, the
-pool and batches ``perfbench`` runs ``infer-fold-q4`` on.
+The folded outputs cover the 640-image validation pool of each folded run's
+dataset (its seed, 10 training images), in batches of its batch size, which
+for the 4-bit run are the pool and batches ``perfbench`` runs
+``infer-fold-q4`` on, and separately the pool's first 7 images as one
+batch, so that a layer's last range of images is shorter than the others.
 
     python3 tools/train_digests.py [CHECKOUT] > digests.txt
 
@@ -59,13 +61,16 @@ RUNS = (
      {"epochs": 1, "warmup_epochs": 0, "first_last_bits": "uniform", "layer2.bits": 3,
       "layer3.rescale": "stddev"}, "fp"),
 )
-FOLDED_RUNS = ("q4", "nobn-legacy-q4")
-POOL_RUN = "q4"  # one of FOLDED_RUNS
+# folded run: directory of its folded outputs; the 4-bit run's keep the
+# directory they had when only that run's were hashed, so its lines stay
+# comparable with older checkouts' digests
+FOLDED_RUNS = {"q4": "folded_outputs", "nobn-legacy-q4": "folded_outputs/nobn-legacy-q4"}
 POOL_IMAGES = 640
+SHORT_BATCH = 7
 STUDIES = ("clamp-var", "quant-var")
 
 # run with the checkout's src on the path; argv: config, folded file, output
-# directory, pool size
+# directory, pool size, short batch size
 FOLDED_OUTPUTS = """
 import sys
 from pathlib import Path
@@ -75,15 +80,18 @@ cfg = training.parse_config_file(sys.argv[1])
 _, pool = data.load_dataset(cfg.dataset, path=cfg.dataset_path, seed=cfg.seed,
                             train_size=10, val_size=int(sys.argv[4]))
 folded = deployment.load_folded(sys.argv[2])
-outputs = {"forward_int_logits": [], "forward_float_logits": [], "forward_float_margins": []}
-for start in range(0, len(pool), cfg.batch_size):
-    images = pool.images[start : start + cfg.batch_size]
-    outputs["forward_int_logits"].append(folded.forward_int(images))
-    logits, margins = folded.forward_float(images, return_margin=True)
-    outputs["forward_float_logits"].append(logits)
-    outputs["forward_float_margins"].append(margins)
-for name, parts in outputs.items():
-    Path(sys.argv[3], name + ".f8").write_bytes(np.concatenate(parts).astype("<f8").tobytes())
+for suffix, starts, size in (("", range(0, len(pool), cfg.batch_size), cfg.batch_size),
+                             (".batch" + sys.argv[5], [0], int(sys.argv[5]))):
+    outputs = {"forward_int_logits": [], "forward_float_logits": [], "forward_float_margins": []}
+    for start in starts:
+        images = pool.images[start : start + size]
+        outputs["forward_int_logits"].append(folded.forward_int(images))
+        logits, margins = folded.forward_float(images, return_margin=True)
+        outputs["forward_float_logits"].append(logits)
+        outputs["forward_float_margins"].append(margins)
+    for name, parts in outputs.items():
+        Path(sys.argv[3], name + suffix + ".f8").write_bytes(
+            np.concatenate(parts).astype("<f8").tobytes())
 """
 
 
@@ -123,11 +131,11 @@ def main() -> int:
                 for kind, path in (("model", checkpoint(name)), ("folded", folded)):
                     done = qsat("eval", name, "--init", path)
                     (eval_dir / f"{name}.{kind}.stdout").write_bytes(done.stdout)
-            if name == POOL_RUN:
-                outputs = Path(tmp, "folded_outputs")
-                outputs.mkdir()
+                outputs = Path(tmp, FOLDED_RUNS[name])
+                outputs.mkdir(parents=True, exist_ok=True)
                 subprocess.run([sys.executable, "-c", FOLDED_OUTPUTS, str(configs[name]), folded,
-                                str(outputs), str(POOL_IMAGES)], env=env, cwd=tmp, check=True)
+                                str(outputs), str(POOL_IMAGES), str(SHORT_BATCH)],
+                               env=env, cwd=tmp, check=True)
             # exit 1 only reports WARN/FAIL verdicts; anything else is an error
             done = qsat("diagnose", name, "--init", checkpoint(name), check=False)
             if done.returncode not in (0, 1):
