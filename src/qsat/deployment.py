@@ -56,6 +56,9 @@ log = logging.getLogger("qsat.deployment")
 MAGIC = b"QSAT"
 FORMAT_VERSION = 1
 
+# the first layer's input grid: images hold integer pixels in 0..255
+_IMAGE_LEVELS = 255
+
 # folded convolutions run as float GEMMs: float32 holds every integer below
 # 2^24 exactly and float64 every integer below this limit, so a layer whose
 # accumulator bound reaches it cannot be folded
@@ -523,7 +526,7 @@ def fold_bn(model) -> FoldedModel:
 
     layers = []
     in_scale = 1.0
-    in_levels = 255  # uint8 image grid
+    in_levels = _IMAGE_LEVELS
     *conv_records, fc_record = model.layer_table
     for record in conv_records:
         conv, bn, pact, pool = (record.layer, record.find(BatchNorm2d),
@@ -668,7 +671,7 @@ def folded_from_checkpoint(path, ckpt: Checkpoint) -> FoldedModel:
         raise CheckpointError(f"{path}: malformed folded model: missing or bad {exc}") from exc
     for prev, layer in zip([None, *layers], layers):
         idx, levels = layer.weight_idx, layer.weight_levels
-        chained = prev is None or layer.in_levels == prev.out_levels * prev.pool_k**2
+        grid = _IMAGE_LEVELS if prev is None else prev.out_levels * prev.pool_k**2
         linked = prev is None or idx.ndim != 4 or idx.shape[1] == prev.weight_idx.shape[0]
         for ok, problem in (
             (idx.ndim == 4 and idx.size > 0 and idx.shape[2] == idx.shape[3]
@@ -687,7 +690,9 @@ def folded_from_checkpoint(path, ckpt: Checkpoint) -> FoldedModel:
              "clip or requant is negative, or a value is past 2^53 units"),
             (math.isfinite(layer.in_scale) and math.isfinite(layer.out_alpha),
              "in_scale or out_alpha is not finite"),
-            (chained, "in_levels differs from the previous layer's out_levels * pool_k^2"),
+            (layer.in_levels == grid,
+             f"in_levels is not {grid}, the uint8 image grid for the first layer and the "
+             "previous layer's out_levels * pool_k^2 for a later one"),
             (linked, "input channels differ from the previous layer's output channels"),
         ):
             if not ok:

@@ -149,7 +149,6 @@ class EtrRow:
     scope: str
     verdict: str   # PASS | WARN | FAIL
     value: float | None
-    detail: str = ""
 
 
 @dataclass
@@ -195,14 +194,11 @@ def etr_check(model, records: list[DiagnosticsRecord]) -> EtrReport:
         if info.follows_bn:
             continue
         if layer.scheme is not None and layer.scheme.rescale is not RescaleMode.NONE:
-            rows.append(EtrRow("ETR-II", info.name, "PASS", None, "rescale enabled"))
+            rows.append(EtrRow("ETR-II", info.name, "PASS", None))
             continue
         product = latest[info.index].var_weight * layer.n_hat
         ok = ETR2_LOW <= product <= ETR2_HIGH
-        rows.append(
-            EtrRow("ETR-II", info.name, "PASS" if ok else "FAIL", product,
-                   "weight variance times fan-out")
-        )
+        rows.append(EtrRow("ETR-II", info.name, "PASS" if ok else "FAIL", product))
     return EtrReport(rows)
 
 

@@ -6,10 +6,10 @@ records: ``add`` (same shape, for residual blocks), ``matmul``,
 ``reshape``, ``relu``, ``conv2d`` and ``avg_pool2d``.  Fused ops elsewhere
 (the effective weight, activation quantization, batch normalization, the
 loss) record their own hand-written backward rules with ``_record``;
-``register_custom_backward`` wraps a pair of array functions as such an op.
-``finite_difference_check`` compares any scalar function's reverse-mode
-gradient with central differences, and ``mean_square_value`` is the
-weight statistics' second moment, taken off the graph in float64 so that
+``register_custom_backward`` wraps a pair of array functions as such an op,
+and ``Tensor.backward`` raises ``OpConstructionError`` when a rule returns
+the wrong number of gradients.  ``mean_square_value`` is the weight
+statistics' second moment, taken off the graph in float64 so that
 it stays stable across layers of very different sizes.
 
 The tape is freed after every ``backward()`` call; training loops rebuild
@@ -30,8 +30,6 @@ since BLAS results can depend on the operand shape.
 from __future__ import annotations
 
 import contextlib
-import inspect
-from typing import Callable
 
 import numpy as np
 
@@ -50,7 +48,6 @@ __all__ = [
     "avg_pool2d",
     "mean_square_value",
     "register_custom_backward",
-    "finite_difference_check",
 ]
 
 
@@ -63,7 +60,8 @@ class DomainError(ValueError):
 
 
 class OpConstructionError(TypeError):
-    """A custom op was registered or invoked with mismatched arity."""
+    """A backward rule returned a gradient count other than its op's
+    input count."""
 
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -264,7 +262,12 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     # one padded buffer for a whole chunk; its border stays zero
     xp = np.zeros((min(n, step), hp, wp, c), dtype=x.dtype)
     for s in range(0, n, step):
-        _lower_range(xv[s : s + step], col[s : s + step], xp, stride, pad)
+        cs = col[s : s + step]
+        xs = xp[: len(cs)]
+        xs[:, pad : pad + h, pad : pad + w] = xv[s : s + step]
+        for i in range(k):
+            for j in range(k):
+                cs[..., i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
     return col.reshape(n * ho * wo, c * k * k), ho, wo, (hp, wp)
 
 
@@ -277,19 +280,6 @@ def _conv_extent(h: int, w: int, k: int, stride: int, pad: int):
             f"stride {stride}, pad {pad}"
         )
     return (hp - k) // stride + 1, (wp - k) // stride + 1, hp, wp
-
-
-def _lower_range(xv: np.ndarray, col: np.ndarray, xp: np.ndarray, stride: int, pad: int):
-    """Patch rows of channels-last images ``xv`` into ``col``, an
-    (n, ho, wo, c, k, k) buffer, through ``xp``, a padded channels-last
-    buffer of at least n images whose border is zero."""
-    n, h, w = xv.shape[:3]
-    ho, wo, k = col.shape[1], col.shape[2], col.shape[-1]
-    xs = xp[:n]
-    xs[:, pad : pad + h, pad : pad + w] = xv
-    for i in range(k):
-        for j in range(k):
-            col[..., i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
 
 
 def _col2im(dcol, x_shape, k, stride, pad, ho, wo, padded_shape):
@@ -389,94 +379,21 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
 # -- custom backward registration ---------------------------------------
 
 
-def _positional_arity(fn) -> int | None:
-    """Number of positional parameters, or None if *args is accepted."""
-    sig = inspect.signature(fn)
-    count = 0
-    for p in sig.parameters.values():
-        if p.kind == inspect.Parameter.VAR_POSITIONAL:
-            return None
-        if p.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            count += 1
-    return count
-
-
-def register_custom_backward(
-    forward_fn: Callable, backward_fn: Callable, name: str | None = None
-) -> Callable:
+def register_custom_backward(forward_fn, backward_fn, name: str | None = None):
     """Build an op whose gradient is ``backward_fn``, verbatim.
 
     ``forward_fn(*input_arrays) -> array`` computes the value;
     ``backward_fn(out_grad, *input_arrays)`` must return one gradient array
     per input (a bare array is accepted for single-input ops).  The node
     created by the returned op routes gradients through ``backward_fn``
-    and never differentiates ``forward_fn`` itself.
+    and never differentiates ``forward_fn`` itself.  A call with the wrong
+    number of inputs fails in ``forward_fn`` or ``backward_fn`` itself.
     """
-    n_in = _positional_arity(forward_fn)
-    n_bw = _positional_arity(backward_fn)
-    if n_in is not None and n_bw is not None and n_bw != n_in + 1:
-        raise OpConstructionError(
-            f"backward must accept (out_grad, *{n_in} inputs); "
-            f"it declares {n_bw} positional parameters"
-        )
     op_name = name or getattr(forward_fn, "__name__", "custom")
 
     def op(*tensors: Tensor) -> Tensor:
-        if n_in is not None and len(tensors) != n_in:
-            raise OpConstructionError(
-                f"op '{op_name}' expects {n_in} inputs, got {len(tensors)}"
-            )
         arrays = tuple(t.data for t in tensors)
         out = Tensor(np.asarray(forward_fn(*arrays)))
-
-        def backward(g):
-            grads = backward_fn(g, *arrays)
-            return grads if isinstance(grads, tuple) else (grads,)
-
-        return _record(op_name, out, tensors, backward)
+        return _record(op_name, out, tensors, lambda g: backward_fn(g, *arrays))
 
     return op
-
-
-# -- gradient checking ---------------------------------------------------
-
-
-def finite_difference_check(
-    fn: Callable[[Tensor], Tensor],
-    point: Tensor,
-    eps: float = 1e-5,
-    coords=None,
-) -> float:
-    """Max relative error between reverse-mode and central differences.
-
-    ``fn`` must map a tensor to a scalar and be continuous at ``point``
-    (ops with rounding in them are only checked away from their rounding
-    boundaries; that is the caller's responsibility).  ``coords`` optionally
-    restricts the comparison to a subset of flat indices, e.g. to hold a
-    detached max out of the sweep.  The error is normalized by the largest
-    numeric-gradient magnitude.
-    """
-    probe = Tensor(point.data.astype(np.float64), requires_grad=True)
-    out = fn(probe)
-    out.backward()
-    analytic = probe.grad.reshape(-1).copy()
-
-    flat = point.data.astype(np.float64).reshape(-1)
-    indices = range(flat.size) if coords is None else coords
-    numeric = np.zeros_like(flat)
-    mask = np.zeros(flat.size, dtype=bool)
-    with no_grad():
-        for i in indices:
-            mask[i] = True
-            bumped = flat.copy()
-            bumped[i] = flat[i] + eps
-            hi = fn(Tensor(bumped.reshape(point.shape))).item()
-            bumped[i] = flat[i] - eps
-            lo = fn(Tensor(bumped.reshape(point.shape))).item()
-            numeric[i] = (hi - lo) / (2.0 * eps)
-    diff = np.abs(analytic - numeric)[mask]
-    scale = max(float(np.max(np.abs(numeric[mask]), initial=0.0)), 1e-12)
-    return float(np.max(diff, initial=0.0) / scale)

@@ -462,11 +462,10 @@ def train(
                     )
                 loss.backward()
 
-                if step % cfg.diag_every == 0 or b == 0 or b == steps_per_epoch - 1:
-                    lr_now = lr_schedule(step, total_steps, warmup_steps, cfg.peak_lr)
-                    records.extend(diagnostics.collect_records(model, step, lr_now))
-
                 lr = lr_schedule(step, total_steps, warmup_steps, cfg.peak_lr)
+                if step % cfg.diag_every == 0 or b == 0 or b == steps_per_epoch - 1:
+                    records.extend(diagnostics.collect_records(model, step, lr))
+
                 opt.step(lr)
                 for state in model.pact_states():
                     state.clamp_alpha()

@@ -28,3 +28,36 @@ def project(out: tensor.Tensor, up=None) -> tensor.Tensor:
     """
     up = np.ones_like(out.data) if up is None else up
     return _project(out, tensor.Tensor(up))
+
+
+def finite_difference_check(fn, point: tensor.Tensor, eps: float = 1e-5, coords=None) -> float:
+    """Max relative error between reverse-mode and central differences.
+
+    ``fn`` must map a tensor to a scalar and be continuous at ``point``
+    (ops with rounding in them are only checked away from their rounding
+    boundaries; that is the caller's responsibility).  ``coords`` optionally
+    restricts the comparison to a subset of flat indices, e.g. to hold a
+    detached max out of the sweep.  The error is normalized by the largest
+    numeric-gradient magnitude.
+    """
+    probe = tensor.Tensor(point.data.astype(np.float64), requires_grad=True)
+    out = fn(probe)
+    out.backward()
+    analytic = probe.grad.reshape(-1).copy()
+
+    flat = point.data.astype(np.float64).reshape(-1)
+    indices = range(flat.size) if coords is None else coords
+    numeric = np.zeros_like(flat)
+    mask = np.zeros(flat.size, dtype=bool)
+    with tensor.no_grad():
+        for i in indices:
+            mask[i] = True
+            bumped = flat.copy()
+            bumped[i] = flat[i] + eps
+            hi = fn(tensor.Tensor(bumped.reshape(point.shape))).item()
+            bumped[i] = flat[i] - eps
+            lo = fn(tensor.Tensor(bumped.reshape(point.shape))).item()
+            numeric[i] = (hi - lo) / (2.0 * eps)
+    diff = np.abs(analytic - numeric)[mask]
+    scale = max(float(np.max(np.abs(numeric[mask]), initial=0.0)), 1e-12)
+    return float(np.max(diff, initial=0.0) / scale)

@@ -1,15 +1,16 @@
 """Property tests for malformed input: a config text parses or raises
 ConfigError, and a byte string loads as a checkpoint or folded file or
 raises CheckpointError.  The CLI maps both errors to exit code 2, so any
-other exception would escape as a traceback.  Examples these tests found
-are pinned as plain tests below them.
+other exception would escape as a traceback.  A folded file that loads
+must also evaluate or exit with a documented code.  Examples these tests
+found are pinned as plain tests below them, or as explicit examples.
 """
 
 import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qsat.cli import main
 from qsat.deployment import (
@@ -81,9 +82,10 @@ def test_any_config_text_parses_or_raises_config_error(text):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """The bytes of a valid model checkpoint and of a valid folded file."""
+    """The bytes of a valid model checkpoint and of a valid folded file,
+    both for the 1x28x28 images of ``blobs28``."""
     root = tmp_path_factory.mktemp("valid")
-    model = build_preset("convnet-bn", image_size=28, weight_bits=4, act_bits=4,
+    model = build_preset("convnet-bn", image_size=28, in_channels=1, weight_bits=4, act_bits=4,
                          rescale=RescaleMode.CONSTANT, seed=3)
     save_checkpoint(model, root / "model.ckpt")
     save_folded(fold_bn(model), root / "folded.ckpt")
@@ -149,14 +151,17 @@ def test_any_manifest_shape_loads_or_raises_checkpoint_error(tmp_path, files, wh
     loads_or_raises_checkpoint_error(tmp_path / "shape.ckpt", with_manifest(files, "model", edit))
 
 
+FOLDED_LAYER_KEYS = ["name", "channel_sign", "weight_levels", "stride", "pad", "in_scale",
+                     "in_levels", "out_alpha", "out_levels", "pool_k"]
+
+
 @FAST
 @given(where=st.data(),
        value=st.sampled_from([float("inf"), -float("inf"), float("nan"), 1e300, -1, 0, True,
                               None, "", []]) | JSON_VALUES)
 def test_any_folded_meta_value_loads_or_raises_checkpoint_error(tmp_path, files, where, value):
-    key = where.draw(st.sampled_from(["name", "channel_sign", "weight_levels", "stride", "pad",
-                                      "in_scale", "in_levels", "out_alpha", "out_levels",
-                                      "pool_k", "fc_in_scale", "logit_scale", "layers"]))
+    key = where.draw(st.sampled_from([*FOLDED_LAYER_KEYS, "fc_in_scale", "logit_scale",
+                                      "layers"]))
     layer = where.draw(st.integers(0, 5))
 
     def edit(manifest):
@@ -167,6 +172,41 @@ def test_any_folded_meta_value_loads_or_raises_checkpoint_error(tmp_path, files,
             meta["layers"][layer][key] = value
 
     loads_or_raises_checkpoint_error(tmp_path / "meta.ckpt", with_manifest(files, "folded", edit))
+
+
+# a blobs28 config whose images the folded file of ``files`` reads
+BLOBS28_CONFIG = dict(VALID_CONFIG, dataset="blobs28", train_size="10", val_size="20")
+
+
+@FAST
+@example(key="in_levels", layer=0, value=100)
+@example(key="in_levels", layer=0, value=256)
+@given(key=st.sampled_from(FOLDED_LAYER_KEYS), layer=st.integers(0, 5),
+       value=st.integers(-2, 2**12) | st.sampled_from([254, 255, 256, 2**52]) | JSON_VALUES)
+def test_loaded_folded_meta_edit_evaluates_or_exits_documented(tmp_path, files, key, layer,
+                                                               value):
+    def edit(manifest):
+        manifest["meta"]["layers"][layer][key] = value
+
+    path = tmp_path / "meta.ckpt"
+    path.write_bytes(with_manifest(files, "folded", edit))
+    try:
+        load_folded(path)
+    except CheckpointError:
+        return
+    assert eval_exit_code(tmp_path, path) in (0, 2, 3)
+
+
+def eval_exit_code(tmp_path, folded_path) -> int:
+    cfg = tmp_path / "blobs28.cfg"
+    cfg.write_text(config_text(BLOBS28_CONFIG, []))
+    return main(["eval", "--config", str(cfg), "--init", str(folded_path)])
+
+
+def test_unedited_folded_file_evaluates(tmp_path, files):
+    path = tmp_path / "folded.ckpt"
+    path.write_bytes(files["folded"])
+    assert eval_exit_code(tmp_path, path) == 0
 
 
 # -- examples the properties found ------------------------------------------------

@@ -347,11 +347,15 @@ class TestFoldCommand:
         assert code == 2
         assert "channel_sign" in err
 
+    # the first layer reads uint8 images, so any other input grid is refused;
+    # 254 and 256 are its neighbours
     @pytest.mark.parametrize("dataset,key,value,message", [
         ("blobs32", "stride", 0, "stride"),
         ("blobs32", "pad", -1, "pad"),
         ("blobs28", "stride", 5, "does not tile a 1x28x28 input"),
-    ], ids=["stride-0", "pad-minus-1", "stride-5-at-28-pixels"])
+        *[("blobs32", "in_levels", v, "'block1' in_levels") for v in (3, 100, 254, 256)],
+    ], ids=["stride-0", "pad-minus-1", "stride-5-at-28-pixels",
+            "in_levels-3", "in_levels-100", "in_levels-254", "in_levels-256"])
     def test_bad_folded_geometry_is_exit_two(self, tmp_path, capsys, dataset, key, value,
                                              message):
         from qsat import deployment as dep
@@ -392,14 +396,15 @@ class TestFoldCommand:
         assert "skip" in err
 
 
-    # 2^52 input levels pass the meta range check, but put layer 0's
-    # integer accumulator bound past 2^53
-    @pytest.mark.parametrize("layer, key, value", [
-        (0, "weight_levels", 10**400), (-1, "out_levels", 10**400),
-        (0, "in_levels", 10**400), (0, "in_levels", 2**52),
-    ], ids=["0-weight_levels", "-1-out_levels", "0-in_levels", "0-in_levels-2^52"])
+    # 2^52 input levels pass the meta range check and chain on from block1's
+    # 2^50 output levels through its 2x2 pool, but put block2's integer
+    # accumulator bound past 2^53
+    @pytest.mark.parametrize("edits", [
+        {(0, "weight_levels"): 10**400}, {(-1, "out_levels"): 10**400},
+        {(0, "in_levels"): 10**400}, {(0, "out_levels"): 2**50, (1, "in_levels"): 2**52},
+    ], ids=["0-weight_levels", "-1-out_levels", "0-in_levels", "1-in_levels-2^52"])
     def test_integer_meta_past_float_range_is_exit_two(self, tmp_path, tiny_config, capsys,
-                                                       layer, key, value):
+                                                       edits):
         from qsat import deployment as dep
         from qsat.training import build_model_from_config, parse_config_file
 
@@ -410,7 +415,8 @@ class TestFoldCommand:
                                 "--init", str(tmp_path / "q8.ckpt"),
                                 "--out", str(tmp_path / "folded"))
         ckpt = dep.load_checkpoint(summary["out"])
-        ckpt.manifest["meta"]["layers"][layer][key] = value
+        for (layer, key), value in edits.items():
+            ckpt.manifest["meta"]["layers"][layer][key] = value
         dep._write_container(summary["out"], ckpt.manifest,
                              [ckpt.tensors[t["name"]] for t in ckpt.manifest["tensors"]])
         code, _, err = run_cli(capsys, "eval", "--config", q_cfg, "--init", summary["out"])

@@ -421,7 +421,7 @@ TENSOR_ALL = [
     "Tensor", "ShapeError", "DomainError", "OpConstructionError",
     "no_grad", "is_grad_enabled",
     "add", "matmul", "reshape", "relu", "conv2d", "avg_pool2d",
-    "mean_square_value", "register_custom_backward", "finite_difference_check",
+    "mean_square_value", "register_custom_backward",
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import project
+from conftest import finite_difference_check, project
 from qsat.network import (
     BN_EPS,
     BatchNorm2d,
@@ -23,7 +23,6 @@ from qsat.tensor import (
     DomainError,
     ShapeError,
     Tensor,
-    finite_difference_check,
     mean_square_value,
     no_grad,
     relu,

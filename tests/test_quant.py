@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import project
+from conftest import finite_difference_check, project
 from qsat import tensor
 from qsat.quant import (
     DegenerateLayerError,
@@ -20,7 +20,6 @@ from qsat.quant import (
 from qsat.tensor import (
     DomainError,
     Tensor,
-    finite_difference_check,
     mean_square_value,
     no_grad,
 )

@@ -6,10 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import finite_difference_check
 from qsat.data import ArrayDataset, Batch, DatasetError, load_dataset, make_blobs
 from qsat.network import build_preset
 from qsat.quant import PactState, RescaleMode
-from qsat.tensor import DomainError, Tensor, finite_difference_check
+from qsat.tensor import DomainError, Tensor
 from qsat.training import (
     SGD,
     ConfigError,

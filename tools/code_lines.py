@@ -1,4 +1,6 @@
-"""Print the code lines of each ``src/qsat`` module and their total.
+"""Print the code lines of each ``src/qsat`` module and their total, then
+the total of ``tests/*.py``, so that code moved from the program into the
+tests shows as a move rather than as a reduction.
 
 A code line is a line that holds some code: not blank, not only a comment,
 and not part of a docstring (the string that opens a module, class or
@@ -53,6 +55,9 @@ def main(argv: list[str]) -> int:
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    tests = sum(code_lines(path.read_text(encoding="utf-8"))
+                for path in (root / "tests").glob("*.py"))
+    print(f"{tests:6d}  tests/*.py total")
     return 0
 
 
