@@ -13,7 +13,7 @@ models are rejected.
 
 The folded paths lower their convolutions on their own, with patch-row
 columns in (ki, kj, c) order, which copies k*c-long contiguous runs of
-the channels-last activations.  The training lowering keeps (c, ki, kj)
+the NHWC activations.  The training lowering keeps (c, ki, kj)
 order to fix the bits of its float32 GEMMs; the folded GEMMs need no
 order, because every partial sum they make is exact (see ``_forward``).
 """
@@ -282,10 +282,8 @@ class FoldedLayer:
 
     @property
     def grid_weights(self) -> np.ndarray:
-        # float32 grid values bit-identical to the training quantizer
-        # output; the channel flip is a sign change, which is exact
-        q = (self.weight_idx / self.weight_levels).astype(np.float32)
-        base = q * np.float32(2.0) - np.float32(1.0)
+        # the channel flip is a sign change, which is exact
+        base = _grid_values(self.weight_idx, self.weight_levels)
         return base * self.channel_sign.astype(np.float32).reshape(-1, 1, 1, 1)
 
 
@@ -505,6 +503,12 @@ def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:
     return idx, levels, factor
 
 
+def _grid_values(idx: np.ndarray, levels: int) -> np.ndarray:
+    """Float32 values of weight grid indices, bit-identical to the training
+    quantizer's output."""
+    return (idx / levels).astype(np.float32) * np.float32(2.0) - np.float32(1.0)
+
+
 def fold_bn(model) -> FoldedModel:
     """Absorb BN affine maps into the following activation's offsets/clips.
 
@@ -584,11 +588,9 @@ def fold_bn(model) -> FoldedModel:
         in_levels = a_out * pool_k * pool_k
 
     fc_idx, fc_levels, fc_factor = _weight_grid_indices(fc_record.layer)
-    fc_q = (fc_idx / fc_levels).astype(np.float32)
-    fc_weight = (fc_q * np.float32(2.0) - np.float32(1.0)).astype(np.float64)
     return FoldedModel(
         layers=layers,
-        fc_weight=fc_weight,
+        fc_weight=_grid_values(fc_idx, fc_levels).astype(np.float64),
         fc_in_scale=in_scale,
         logit_scale=fc_factor,
         preset=model.preset,

@@ -71,19 +71,6 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def _wide_rows(a: np.ndarray) -> np.ndarray:
-    """(n*h, w*C) rows of an NCHW-shaped array: a view of channels-last
-    memory, a copy of any other layout."""
-    n, c, h, w = a.shape
-    return a.transpose(0, 2, 3, 1).reshape(n * h, w * c)
-
-
-def _nchw(rows: np.ndarray, shape) -> np.ndarray:
-    """NCHW-shaped, channels-last view of (n*h, w*C) rows."""
-    n, c, h, w = shape
-    return rows.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-
-
 def _channel_sums(rows: np.ndarray, c: int) -> np.ndarray:
     """Float64 per-channel sums of wide rows: each (w, c) column down the
     rows, then across w."""
@@ -100,12 +87,13 @@ class BatchNorm2d:
     ``Tensor``s that need no gradient, so they are model state like
     ``gamma`` and ``beta``; training assigns their ``.data``.
 
-    Every per-channel op runs on the activation viewed as ``(n*h, w*C)``
-    rows, with each per-channel vector tiled w times, so numpy's inner
+    Every per-channel op runs on the NHWC activation reshaped to
+    ``(n*h, w*C)`` rows (a view of a C-contiguous input, a copy of any
+    other), with each per-channel vector tiled w times, so numpy's inner
     loops are w*C long rather than C.  The float32 ops are those of the
-    plain NCHW formulas, in the same order; the output is channels-last.
-    The float64 statistics sum each (w, c) column down the n*h rows and
-    then across w (``_channel_sums``).
+    plain per-channel formulas, in the same order.  The float64 statistics
+    sum each (w, c) column down the n*h rows and then across w
+    (``_channel_sums``).
     """
 
     def __init__(self, channels: int, dtype=np.float32):
@@ -116,17 +104,17 @@ class BatchNorm2d:
         self.running_var = Tensor(np.ones(channels, dtype=dtype))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.channels:
+        if x.ndim != 4 or x.shape[3] != self.channels:
             raise ShapeError(
                 f"batch norm over {self.channels} channels got input {x.shape}"
             )
         if not training:
             return self._affine(x)
-        n, c, h, w = x.shape
+        n, h, w, c = x.shape
         if n < 2:
             raise DomainError("batch norm needs batch size >= 2 in training mode")
         m = n * h * w
-        rows = _wide_rows(x.data)
+        rows = x.data.reshape(n * h, w * c)
         gamma, beta = self.gamma, self.beta
         x64 = rows.astype(np.float64)
         mean = _channel_sums(x64, c) / m
@@ -145,7 +133,7 @@ class BatchNorm2d:
         out += np.tile(beta.data, w)
 
         def backward(g):
-            g = _wide_rows(g)
+            g = g.reshape(rows.shape)
             dbeta = _channel_sums(g, c)
             gx = g * xhat
             dgamma = _channel_sums(gx, c)
@@ -154,17 +142,17 @@ class BatchNorm2d:
             dx = g - np.tile((dbeta / m).astype(g.dtype), w)
             dx -= gx
             dx *= np.tile(gamma.data / sigma, w)
-            return (_nchw(dx, x.shape), dgamma, dbeta)
+            return (dx.reshape(x.shape), dgamma, dbeta)
 
-        out = Tensor(_nchw(out, x.shape))
+        out = Tensor(out.reshape(x.shape))
         return _record("batch_norm2d", out, (x, gamma, beta), backward)
 
     def _affine(self, x: Tensor) -> Tensor:
         """Eval mode: ``x * scale + shift`` from the running statistics, as
         one per-channel affine op."""
-        c, w = self.channels, x.shape[3]
+        n, h, w, c = x.shape
         gamma, beta, mean = self.gamma, self.beta, self.running_mean.data
-        rows = _wide_rows(x.data)
+        rows = x.data.reshape(n * h, w * c)
         inv = (1.0 / np.sqrt(self.running_var.data.astype(np.float64) + BN_EPS)).astype(x.dtype)
         scale = gamma.data * inv
         shift = beta.data - scale * mean
@@ -172,12 +160,12 @@ class BatchNorm2d:
         out += np.tile(shift, w)
 
         def backward(g):
-            g = _wide_rows(g)
+            g = g.reshape(rows.shape)
             dbeta = _channel_sums(g, c)
             dgamma = inv * (_channel_sums(g * rows, c) - mean * dbeta)
-            return (_nchw(g * np.tile(scale, w), x.shape), dgamma, dbeta)
+            return ((g * np.tile(scale, w)).reshape(x.shape), dgamma, dbeta)
 
-        out = Tensor(_nchw(out, x.shape))
+        out = Tensor(out.reshape(x.shape))
         return _record("batch_norm2d_eval", out, (x, gamma, beta), backward)
 
 
@@ -296,7 +284,8 @@ class LayerRecord:
 
 
 def run_table(records: list[LayerRecord], x: Tensor, training: bool) -> Tensor:
-    """The forward of a run of layer records: every module in order.
+    """The forward of a run of layer records on NHWC activations: every
+    module in order.
 
     BN normalizes with batch statistics when ``training``; PACT runs
     through ``pact_quantize``; the dense layer takes its input flattened
@@ -347,7 +336,9 @@ class Model:
         return any(m is SKIP_ADD for record in self.layer_table for _, m in record.modules)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        return run_table(self.layer_table, x, training)
+        """Logits of NCHW images, which run through the table as an NHWC
+        view; nothing differentiates the images."""
+        return run_table(self.layer_table, Tensor(x.data.transpose(0, 2, 3, 1)), training)
 
     def _named_modules(self) -> list[tuple[str, object]]:
         return [(prefix, m) for record in self.layer_table

@@ -15,10 +15,10 @@ it stays stable across layers of very different sizes.
 The tape is freed after every ``backward()`` call; training loops rebuild
 the graph each step.
 
-4-D tensors always have NCHW shape, but convolution and pooling outputs
-and the gradients flowing back into them are channels-last in memory.
-Float32 sums follow memory order, so average pooling fixes its summation
-order explicitly instead of relying on the layout it is given.
+4-D activations and their gradients are NHWC, (n, h, w, c); weights keep
+their (c_out, c_in, k, k) layout.  Float32 sums follow memory order, so
+average pooling fixes its summation order explicitly instead of relying on
+the layout it is given.
 
 Convolution lowers to one GEMM over im2col patch rows.  The copies that
 build those rows, and the scatter-adds that fold their gradient back, run
@@ -162,7 +162,7 @@ class Tensor:
                             f"for input of shape {parent.data.shape}"
                         )
                     if parent.grad is None:
-                        # order="K" keeps a channels-last gradient channels-last
+                        # order="K" keeps a gradient's memory order
                         parent.grad = g.copy(order="K")
                     else:
                         parent.grad += g
@@ -244,19 +244,18 @@ def _images_per_chunk(image_bytes: int) -> int:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """Patch rows of an NCHW-shaped array of any memory layout.
+    """Patch rows of an NHWC array of any memory layout.
 
     Rows run over (n, ho, wo) and columns over (c, ki, kj).  The input is
-    read into a padded channels-last buffer; each of the k*k kernel offsets
+    read into a padded NHWC buffer; each of the k*k kernel offsets
     is then one slice copy into the rows.  Both steps run over ranges of
     whole images whose patch rows fill about ``_LOWERING_CHUNK_BYTES``, so
     each range is padded and gathered while it is still in cache.  Every
     element gets the same copy as in one pass over the batch, and callers
     run one GEMM on the whole buffer.
     """
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     ho, wo, hp, wp = _conv_extent(h, w, k, stride, pad)
-    xv = x.transpose(0, 2, 3, 1)
     col = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
     step = _images_per_chunk(ho * wo * c * k * k * x.itemsize)
     # one padded buffer for a whole chunk; its border stays zero
@@ -264,7 +263,7 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     for s in range(0, n, step):
         cs = col[s : s + step]
         xs = xp[: len(cs)]
-        xs[:, pad : pad + h, pad : pad + w] = xv[s : s + step]
+        xs[:, pad : pad + h, pad : pad + w] = x[s : s + step]
         for i in range(k):
             for j in range(k):
                 cs[..., i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
@@ -283,13 +282,13 @@ def _conv_extent(h: int, w: int, k: int, stride: int, pad: int):
 
 
 def _col2im(dcol, x_shape, k, stride, pad, ho, wo, padded_shape):
-    """Scatter-add patch-row gradients back to an NCHW-shaped view of a
-    channels-last array; the inverse of ``_im2col``'s gather.
+    """Scatter-add patch-row gradients back to an NHWC array; the inverse
+    of ``_im2col``'s gather.
 
     The k*k slice adds run image range by image range, as in ``_im2col``;
     every element still receives its adds in the same (i, j) order.
     """
-    n, c, h, w = x_shape
+    n, h, w, c = x_shape
     hp, wp = padded_shape
     dxp = np.zeros((n, hp, wp, c), dtype=dcol.dtype)
     d6 = dcol.reshape(n, ho, wo, c, k, k)
@@ -299,32 +298,32 @@ def _col2im(dcol, x_shape, k, stride, pad, ho, wo, padded_shape):
         for i in range(k):
             for j in range(k):
                 ds[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += gs[..., i, j]
-    return dxp[:, pad : hp - pad, pad : wp - pad].transpose(0, 3, 1, 2)
+    return dxp[:, pad : hp - pad, pad : wp - pad]
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of NxCxHxW input with C'xCxkxk kernels, no bias.
+    """Cross-correlation of NxHxWxC input with C'xCxkxk kernels, no bias.
 
-    The output has NCHW shape and channels-last memory: it is the GEMM's
-    (n*ho*wo, C') result viewed, not copied.  Backward reads its gradient
-    the same way and skips the input gradient when ``x`` needs none.
+    The (n, ho, wo, C') output is the GEMM's (n*ho*wo, C') result reshaped,
+    not copied.  Backward reads its gradient as (n*ho*wo, C') rows the same
+    way and skips the input gradient when ``x`` needs none.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape} and {w.shape}")
     co, ci, k, k2 = w.shape
     if k != k2:
         raise ShapeError(f"conv2d kernels must be square, got {w.shape}")
-    if ci != x.shape[1]:
+    if ci != x.shape[3]:
         raise ShapeError(
             f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}"
         )
     n = x.shape[0]
     col, ho, wo, padded = _im2col(x.data, k, stride, pad)
     wmat = w.data.reshape(co, ci * k * k)
-    out = Tensor((col @ wmat.T).reshape(n, ho, wo, co).transpose(0, 3, 1, 2))
+    out = Tensor((col @ wmat.T).reshape(n, ho, wo, co))
 
     def backward(g):
-        gcol = g.transpose(0, 2, 3, 1).reshape(-1, co)
+        gcol = g.reshape(-1, co)
         dw = (gcol.T @ col).reshape(w.shape)
         if not x.requires_grad:
             return (None, dw)
@@ -337,41 +336,39 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 def avg_pool2d(x: Tensor, k: int) -> Tensor:
     """Non-overlapping kxk mean pooling (window average, stride k).
 
-    Windows narrower than 8 and than the plane are summed on the
-    channels-last view in numpy's own order for ``mean(axis=(3, 5))`` over
-    an NCHW copy: each window row left to right, then the row sums top to
-    bottom onto +0.  The output is channels-last.  Wider windows, and
-    windows as wide as the plane (one contiguous run in that copy, which
-    numpy sums as such), take that mean directly.
+    Windows narrower than 8 and than the plane are summed on the NHWC
+    input in numpy's own order for ``mean(axis=(3, 5))`` over an NCHW
+    copy: each window row left to right, then the row sums top to bottom
+    onto +0.  Wider windows, and windows as wide as the plane (one
+    contiguous run in that copy, which numpy sums as such), take that mean
+    directly; their output is an NHWC view of it.
     """
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects a 4-D input, got {x.shape}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
     ho, wo = h // k, w // k
     if k >= 8 or wo == 1:
-        win = np.ascontiguousarray(x.data).reshape(n, c, ho, k, wo, k)
-        data = win.mean(axis=(3, 5))
+        win = np.ascontiguousarray(x.data.transpose(0, 3, 1, 2)).reshape(n, c, ho, k, wo, k)
+        data = win.mean(axis=(3, 5)).transpose(0, 2, 3, 1)
     else:
-        xv = x.data.transpose(0, 2, 3, 1)
-        acc = np.zeros((n, ho, wo, c), dtype=x.dtype)
-        row = np.empty_like(acc)
+        data = np.zeros((n, ho, wo, c), dtype=x.dtype)
+        row = np.empty_like(data)
         for i in range(k):
-            np.copyto(row, xv[:, i::k, 0::k])
+            np.copyto(row, x.data[:, i::k, 0::k])
             for j in range(1, k):
-                row += xv[:, i::k, j::k]
-            acc += row
+                row += x.data[:, i::k, j::k]
+            data += row
         # numpy's mean divides by the intp item count
-        np.true_divide(acc, np.intp(k * k), out=acc, casting="unsafe")
-        data = acc.transpose(0, 3, 1, 2)
+        np.true_divide(data, np.intp(k * k), out=data, casting="unsafe")
     out = Tensor(data)
     inv = 1.0 / (k * k)
 
     def backward(g):
         gx = np.empty((n, ho, k, wo, k, c), dtype=x.dtype)
-        gx[...] = (g * inv).transpose(0, 2, 3, 1)[:, :, None, :, None, :]
-        return (gx.reshape(n, h, w, c).transpose(0, 3, 1, 2),)
+        gx[...] = (g * inv)[:, :, None, :, None, :]
+        return (gx.reshape(n, h, w, c),)
 
     return _record("avg_pool2d", out, (x,), backward)
 

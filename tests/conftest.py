@@ -30,6 +30,18 @@ def project(out: tensor.Tensor, up=None) -> tensor.Tensor:
     return _project(out, tensor.Tensor(up))
 
 
+def nchw(a):
+    """The NCHW view of an NHWC array, as the references take it."""
+    return a.transpose(0, 3, 1, 2)
+
+
+def nchw_memory(a):
+    """Copy of an NHWC array whose memory runs NCHW, shape unchanged."""
+    out = np.ascontiguousarray(a.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+    assert out.shape == a.shape and not out.flags.c_contiguous
+    return out
+
+
 def finite_difference_check(fn, point: tensor.Tensor, eps: float = 1e-5, coords=None) -> float:
     """Max relative error between reverse-mode and central differences.
 

@@ -414,6 +414,31 @@ def test_forward_tape(preset, bits):
     assert [node.op for node in tensor._tape] == FORWARD_TAPES[preset, bits].split()
 
 
+@pytest.mark.parametrize("size, channels", [(32, 3), (28, 1)])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_forward_activations_are_nhwc(preset, size, channels):
+    """The NCHW images run as (n, h, w, c) activations: each conv's output
+    ends in its kernel count, each BN's in its channel count, and the
+    classifier flattens (n, 1, 1, c)."""
+    model = build_preset(preset, image_size=size, in_channels=channels, seed=5)
+    n = 2
+    tensor._tape.clear()
+    model.forward(tensor.Tensor(np.zeros((n, channels, size, size), np.float32)), training=True)
+    nodes = list(tensor._tape)
+    convs = [node for node in nodes if node.op == "conv2d"]
+    bns = [node for node in nodes if node.op == "batch_norm2d"]
+    assert len(convs) == linear_layer_count(preset) - 1 and bns
+    for node in convs:
+        # every preset conv is 3x3 with stride 1 and pad 1: ho, wo = h, w
+        x, w = node.parents
+        assert node.out.shape == (n, x.shape[1], x.shape[2], w.shape[0])
+    for node in bns:
+        _, gamma, _ = node.parents
+        assert node.out.shape[-1] == gamma.shape[0]
+    [flatten] = [node for node in nodes if node.op == "reshape"]
+    assert flatten.parents[0].shape == (n, 1, 1, model.layer_table[-1].layer.n_in)
+
+
 # the engine's public names: the ops a forward records (the fused ops
 # record themselves through tensor._record), plus the hooks that tests and
 # perfbench's tracer use; add never broadcasts, not even a scalar

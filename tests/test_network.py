@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import finite_difference_check, project
+from conftest import finite_difference_check, nchw, nchw_memory, project
 from qsat.network import (
     BN_EPS,
     BatchNorm2d,
@@ -36,29 +36,29 @@ def rand(shape, seed, scale=1.0):
 class TestBatchNorm:
     def test_standardized_input_passes_through(self):
         bn = BatchNorm2d(3, dtype=np.float64)
-        x = rand((64, 3, 5, 5), seed=0)
-        x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(
-            axis=(0, 2, 3), keepdims=True
+        x = rand((64, 5, 5, 3), seed=0)
+        x = (x - x.mean(axis=(0, 1, 2), keepdims=True)) / x.std(
+            axis=(0, 1, 2), keepdims=True
         )
         out = bn(Tensor(x), training=True)
         npt.assert_allclose(out.data, x, atol=1e-4)
 
     def test_training_output_statistics(self):
         bn = BatchNorm2d(4, dtype=np.float64)
-        out = bn(Tensor(rand((8, 4, 6, 6), seed=1, scale=3.0)), training=True).data
-        npt.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
+        out = bn(Tensor(rand((8, 6, 6, 4), seed=1, scale=3.0)), training=True).data
+        npt.assert_allclose(out.mean(axis=(0, 1, 2)), 0.0, atol=1e-6)
         npt.assert_allclose(
-            np.mean(out * out, axis=(0, 2, 3)), 1.0, atol=1e-4
+            np.mean(out * out, axis=(0, 1, 2)), 1.0, atol=1e-4
         )
 
     def test_batch_of_one_rejected_in_training(self):
         bn = BatchNorm2d(2)
         with pytest.raises(DomainError):
-            bn(Tensor(np.zeros((1, 2, 4, 4))), training=True)
+            bn(Tensor(np.zeros((1, 4, 4, 2))), training=True)
 
     def test_backward_vs_finite_differences(self):
-        xv = rand((4, 3, 5, 5), seed=2)
-        up = rand((4, 3, 5, 5), seed=6)
+        xv = rand((4, 5, 5, 3), seed=2)
+        up = rand((4, 5, 5, 3), seed=6)
 
         def run(t):
             bn = BatchNorm2d(3, dtype=np.float64)
@@ -70,7 +70,7 @@ class TestBatchNorm:
 
     def test_gamma_beta_gradients(self):
         bn = BatchNorm2d(2, dtype=np.float64)
-        x = Tensor(rand((4, 2, 3, 3), seed=3), requires_grad=True)
+        x = Tensor(rand((4, 3, 3, 2), seed=3), requires_grad=True)
         project(bn(x, training=True)).backward()
         # sum of normalized values is ~0, so dgamma ~ 0 and dbeta = count
         npt.assert_allclose(bn.gamma.grad, 0.0, atol=1e-9)
@@ -78,7 +78,7 @@ class TestBatchNorm:
 
     def test_running_stats_updated_and_used_in_eval(self):
         bn = BatchNorm2d(1, dtype=np.float64)
-        x = rand((16, 1, 4, 4), seed=4, scale=2.0) + 3.0
+        x = rand((16, 4, 4, 1), seed=4, scale=2.0) + 3.0
         for _ in range(200):
             bn(Tensor(x), training=True)
         npt.assert_allclose(bn.running_mean.data, x.mean(), rtol=1e-3)
@@ -89,7 +89,7 @@ class TestBatchNorm:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            BatchNorm2d(3)(Tensor(np.zeros((2, 4, 3, 3))), training=True)
+            BatchNorm2d(3)(Tensor(np.zeros((2, 3, 3, 4))), training=True)
 
 
 def run_record(modules, x, training):
@@ -102,7 +102,7 @@ class TestForwardBlock:
         conv = Conv2dLayer("c", 1, 1, 1, scheme=None)
         conv.w.data = np.ones((1, 1, 1, 1), dtype=np.float32)
         bn = BatchNorm2d(1)  # eval mode with fresh running stats: mu=0, var=1
-        x = Tensor(rand((2, 1, 4, 4), seed=5).astype(np.float32))
+        x = Tensor(rand((2, 4, 4, 1), seed=5).astype(np.float32))
         out = run_record([("c", conv), ("c.bn", bn), ("", relu)], x, training=False)
         npt.assert_allclose(out.data, np.maximum(x.data, 0.0), atol=1e-4)
 
@@ -110,8 +110,8 @@ class TestForwardBlock:
         conv = Conv2dLayer("c", 1, 1, 1, scheme=None)
         conv.w.data = np.ones((1, 1, 1, 1), dtype=np.float32)
         out = run_record([("c", conv), ("", Pool(2))],
-                         Tensor(np.full((1, 1, 4, 4), 2.5)), training=False)
-        npt.assert_allclose(out.data, np.full((1, 1, 2, 2), 2.5))
+                         Tensor(np.full((1, 4, 4, 1), 2.5)), training=False)
+        npt.assert_allclose(out.data, np.full((1, 2, 2, 1), 2.5))
 
     def test_relu_halves_second_moment_after_bn(self):
         # zero-mean unit-variance pre-activation, gamma scales it: the record
@@ -120,14 +120,14 @@ class TestForwardBlock:
         conv = Conv2dLayer("c", 8, 8, 3, pad=1, scheme=None, rng=np.random.default_rng(6))
         bn = BatchNorm2d(8)
         bn.gamma.data = np.full(8, gamma, dtype=np.float32)
-        x = Tensor(rand((32, 8, 16, 16), seed=7).astype(np.float32))
+        x = Tensor(rand((32, 16, 16, 8), seed=7).astype(np.float32))
         out = run_record([("c", conv), ("c.bn", bn), ("", relu)], x, training=True)
         assert mean_square_value(out) == pytest.approx(gamma**2 / 2, rel=0.15)
 
     def test_geometry_mismatch(self):
         conv = Conv2dLayer("c", 3, 4, 3)
         with pytest.raises(ShapeError):
-            run_record([("c", conv), ("", relu)], Tensor(np.zeros((1, 5, 8, 8))),
+            run_record([("c", conv), ("", relu)], Tensor(np.zeros((1, 8, 8, 5))),
                        training=False)
 
 
@@ -169,7 +169,7 @@ class TestPactSubsumesRelu:
             bn = r.find(BatchNorm2d)
             return [r.layer.w, bn.gamma, bn.beta, r.find(PactState).alpha]
 
-        x = rand((4, 3, 8, 8), seed=41).astype(np.float32)
+        x = rand((4, 8, 8, 3), seed=41).astype(np.float32)
         r1, r2 = make(), make()
         ops, got = run_and_record(lambda t: run_table([r1], t, True), x, params(r1))
         _, want = run_and_record(lambda t: reference(r2, t), x, params(r2))
@@ -198,7 +198,7 @@ class TestPactSubsumesRelu:
                 r.find(BatchNorm2d).gamma, r.find(BatchNorm2d).beta,
                 r.find(PactState).alpha, r.layer.w)]
 
-        x = rand((4, 16, 8, 8), seed=43).astype(np.float32)
+        x = rand((4, 8, 8, 16), seed=43).astype(np.float32)
         b1, b2 = make(), make()
         ops, got = run_and_record(lambda t: run_table(b1, t, True), x, params(b1))
         _, want = run_and_record(lambda t: reference(b2, t), x, params(b2))
@@ -208,7 +208,7 @@ class TestPactSubsumesRelu:
     def test_relu_kept_without_pact(self):
         model = build_preset("preresnet-toy", weight_bits="raw", seed=44)
         ops, _ = run_and_record(lambda t: run_table(model.layer_table[3:5], t, True),
-                                rand((2, 16, 8, 8), seed=45).astype(np.float32), [])
+                                rand((2, 8, 8, 16), seed=45).astype(np.float32), [])
         assert ops.count("relu") == 2
 
 
@@ -299,7 +299,7 @@ class TestResidual:
         block = model.layer_table[3:5]
         for record in block:
             record.layer.w.data = np.zeros_like(record.layer.w.data)
-        x = Tensor(rand((2, 16, 8, 8), seed=11).astype(np.float32))
+        x = Tensor(rand((2, 8, 8, 16), seed=11).astype(np.float32))
         out = run_table(block, x, training=True)
         npt.assert_array_equal(out.data, x.data)
 
@@ -335,7 +335,8 @@ class TestLogitScaleChain:
         rng = np.random.default_rng(200)
         x = rng.integers(0, 256, (64, 3, 32, 32)).astype(np.float32)
         with no_grad():
-            feats = run_table(model.layer_table[:-1], Tensor(x), training=True).data.reshape(64, -1)
+            feats = run_table(model.layer_table[:-1], Tensor(x.transpose(0, 2, 3, 1)),
+                              training=True).data.reshape(64, -1)
             z = model.forward(Tensor(x), training=True).data
         fc = model.layer_table[-1].layer
         pred = fc.n_in * mean_square_value(fc.w.data) * mean_square_value(feats)
@@ -393,10 +394,6 @@ class TestStateRoundTrip:
             model.load_state({"bogus": np.zeros(3)})
 
 
-def channels_last(a):
-    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-
-
 def bn_reference(xd, gamma, beta, running_mean, running_var, g, momentum=0.1, eps=1e-5):
     """Training-mode batch norm in its plain NCHW formulas: output, input,
     gamma and beta gradients, and the updated running statistics."""
@@ -425,10 +422,11 @@ def bn_reference(xd, gamma, beta, running_mean, running_var, g, momentum=0.1, ep
 class TestBatchNormBitIdentity:
     """BatchNorm2d on (n*h, w*C) rows makes the plain formulas' float32 ops
     in their order; output, gradients and running statistics match them to
-    the bit at every convnet-bn BN shape, on either memory layout."""
+    the bit at every convnet-bn BN shape, on either memory layout.  The
+    NCHW reference sees the NHWC arrays through one transpose."""
 
-    SHAPES = [(32, 16, 32, 32), (32, 24, 16, 16), (32, 32, 16, 16),
-              (32, 32, 8, 8), (32, 24, 8, 8), (32, 12, 4, 4)]
+    SHAPES = [(32, 32, 32, 16), (32, 16, 16, 24), (32, 16, 16, 32),
+              (32, 8, 8, 32), (32, 8, 8, 24), (32, 4, 4, 12)]
 
     @staticmethod
     def bn_with_params(c, seed):
@@ -440,54 +438,54 @@ class TestBatchNormBitIdentity:
         bn.running_var.data = rng.uniform(0.5, 2.0, c).astype(np.float32)
         return bn
 
-    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("layout", ["contiguous", "nchw_memory"])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_training_matches_plain_formulas(self, shape, layout):
-        n, c, h, w = shape
+        n, h, w, c = shape
         seed = c * h
         # a per-channel offset and magnitudes over several decades, so the
         # float32 ops and their order show in the bits
-        x = (rand(shape, seed) * 10.0 ** rand((1, c, 1, 1), seed + 1)
-             + 3.0 * rand((1, c, 1, 1), seed + 2)).astype(np.float32)
+        x = (rand(shape, seed) * 10.0 ** rand((1, 1, 1, c), seed + 1)
+             + 3.0 * rand((1, 1, 1, c), seed + 2)).astype(np.float32)
         g = (rand(shape, seed + 3) * 10.0 ** rand(shape, seed + 4)).astype(np.float32)
-        if layout == "channels_last":
-            x, g = channels_last(x), channels_last(g)
+        if layout == "nchw_memory":
+            x, g = nchw_memory(x), nchw_memory(g)
         bn = self.bn_with_params(c, seed)
-        want = bn_reference(x, bn.gamma.data, bn.beta.data, bn.running_mean.data,
-                            bn.running_var.data, g)
+        want = bn_reference(nchw(x), bn.gamma.data, bn.beta.data, bn.running_mean.data,
+                            bn.running_var.data, nchw(g))
         t = Tensor(x, requires_grad=True)
         out = bn(t, training=True)
         project(out, g).backward()
-        got = (out.data, t.grad, bn.gamma.grad, bn.beta.grad,
+        got = (nchw(out.data), nchw(t.grad), bn.gamma.grad, bn.beta.grad,
                bn.running_mean.data, bn.running_var.data)
         for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got, want):
             assert same_bits(a, b), name
 
-    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("layout", ["contiguous", "nchw_memory"])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_eval_forward_is_x_times_scale_plus_shift(self, shape, layout):
-        n, c, h, w = shape
-        x = (rand(shape, c) * 10.0 ** rand((1, c, 1, 1), c + 1)).astype(np.float32)
-        if layout == "channels_last":
-            x = channels_last(x)
+        n, h, w, c = shape
+        x = (rand(shape, c) * 10.0 ** rand((1, 1, 1, c), c + 1)).astype(np.float32)
+        if layout == "nchw_memory":
+            x = nchw_memory(x)
         bn = self.bn_with_params(c, c + 2)
         inv = 1.0 / np.sqrt(bn.running_var.data.astype(np.float64) + BN_EPS)
         scale = bn.gamma.data * inv.astype(np.float32)
         shift = bn.beta.data - scale * bn.running_mean.data
-        want = x * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
+        want = nchw(x) * scale.reshape(1, c, 1, 1) + shift.reshape(1, c, 1, 1)
         with no_grad():
-            assert same_bits(bn(Tensor(x), training=False).data, want)
+            assert same_bits(nchw(bn(Tensor(x), training=False).data), want)
         # with gradients on, the same bytes come from one op on the tape
         tensor_module._tape.clear()
         t = Tensor(x, requires_grad=True)
         out = bn(t, training=False)
         assert [node.op for node in tensor_module._tape] == ["batch_norm2d_eval"]
         tensor_module._tape.clear()
-        assert same_bits(out.data, want)
+        assert same_bits(nchw(out.data), want)
 
-    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("layout", ["contiguous", "nchw_memory"])
     def test_eval_backward_vs_finite_differences(self, layout):
-        shape = (3, 4, 5, 6)
+        shape = (3, 5, 6, 4)
         up = rand(shape, seed=41)
         bn = BatchNorm2d(4, dtype=np.float64)
         bn.gamma.data = np.array([1.5, 0.5, -2.0, 1.0])
@@ -495,8 +493,8 @@ class TestBatchNormBitIdentity:
         bn.running_mean.data = np.array([0.5, -1.0, 0.0, 2.0])
         bn.running_var.data = np.array([0.8, 1.5, 2.0, 0.3])
         x = rand(shape, seed=42, scale=2.0)
-        if layout == "channels_last":
-            x = channels_last(x)
+        if layout == "nchw_memory":
+            x = nchw_memory(x)
 
         def through_x(t):
             return project(bn(t, training=False), up)

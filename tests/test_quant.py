@@ -466,7 +466,8 @@ class TestPactBitIdentity:
         flat[60:70] = -rng.uniform(0.0, alpha, 10)
         x = x.astype(dtype)
         g = (rng.normal(size=x.shape) * 10.0 ** rng.normal(size=x.shape)).astype(dtype)
-        # channels-last memory under NCHW shape, as conv outputs have
+        # the same values in channels-last memory, the memory order of the
+        # NHWC activations that PACT quantizes
         cl = lambda a: np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         return [(x, g), (cl(x), cl(g))]
 
