@@ -98,22 +98,18 @@ def make_blobs(
         templates.append(128.0 + contrast * _upsample_nearest(coarse, image_size))
 
     def draw(count_per_class: int):
-        images = np.empty(
-            (count_per_class * classes, channels, image_size, image_size),
-            dtype=np.float32,
-        )
-        labels = np.empty(count_per_class * classes, dtype=np.int64)
-        i = 0
+        # one class's float64 samples at a time, in one buffer made once and
+        # after the images: fresh buffers per class, or one below the images
+        # in the heap, stay resident once freed and raise the peak RSS
+        images = np.empty((classes, count_per_class, channels, image_size, image_size), np.float32)
+        z = np.empty(images.shape[1:])
         for cls in range(classes):
-            for _ in range(count_per_class):
-                sample = templates[cls] + noise * rng.standard_normal(
-                    (channels, image_size, image_size)
-                )
-                images[i] = np.clip(np.rint(sample), 0.0, 255.0)
-                labels[i] = cls
-                i += 1
-        order = rng.permutation(len(labels))
-        return ArrayDataset(images[order], labels[order])
+            np.add(np.multiply(rng.standard_normal(out=z), noise, out=z), templates[cls], out=z)
+            np.clip(np.rint(z, out=z), 0.0, 255.0, out=images[cls])
+        del z
+        # each class fills one block of images, so an index's block is its label
+        order = rng.permutation(classes * count_per_class)
+        return ArrayDataset(images.reshape(-1, *images.shape[2:])[order], order // count_per_class)
 
     return draw(n_train // classes), draw(n_val // classes)
 

@@ -200,13 +200,18 @@ def load_checkpoint(path) -> Checkpoint:
 
 def load_model_state(model, tensors: dict[str, np.ndarray]) -> None:
     """``model.load_state``, reporting tensors that do not fit the model (a
-    missing name or another shape), and an all-zero weight of a layer whose
-    scheme clamps it or of the classifier, whose spread kappa0 divides by,
-    as ``CheckpointError``."""
+    missing name or another shape), a clip level that is not positive (the
+    domain of ``pact_quantize``), a negative BN running variance, and an
+    all-zero weight of a layer whose scheme clamps it or of the classifier,
+    whose spread kappa0 divides by, as ``CheckpointError``."""
     try:
         model.load_state(tensors)
     except (KeyError, ShapeError) as exc:
         raise CheckpointError(exc.args[0]) from exc
+    for name, role, t in model.named_state():
+        if (role == "alpha" and np.min(t.data) <= 0) or (role == "bn_var" and np.min(t.data) < 0):
+            raise CheckpointError(f"tensor '{name}' holds {np.min(t.data)}: clip levels must be "
+                                  "positive and running variances non-negative")
     infos = model.linear_infos()
     for info in infos:
         if (info.layer.scheme is not None or info is infos[-1]) and not np.any(info.layer.w.data):
@@ -247,7 +252,8 @@ def load_model_checkpoint(path, model, expect_hash: str | None = None) -> Checkp
 
 @dataclass
 class FoldedLayer:
-    """One conv after folding: integer weights plus per-channel clip data.
+    """One conv after folding: integer weights plus per-channel clip data,
+    the fields of one layer of a folded file and nothing else.
 
     ``weight_idx`` holds the quantizer grid indices (0..weight_levels) of
     the signed weight grid, as quantized; ``channel_sign`` is -1 on output
@@ -255,9 +261,11 @@ class FoldedLayer:
     channels' weights and uses the magnitude of the scale).  ``offset`` and
     ``clip`` live in units of the real weight-times-integer-input product;
     ``requant`` maps the integer accumulator onto the next activation grid.
-    ``in_scale`` (the real value of one input level) and ``out_alpha``
-    (the activation's clip level) record the scales the fold made those
-    three from; neither forward reads them.
+    All three hold float32 values, as the file stores them.  ``in_scale``
+    (the real value of one input level) and ``out_alpha`` (the
+    activation's clip level) record the scales the fold made those three
+    from; neither forward reads them.  ``_layer_plan`` derives the weight
+    operands of both forwards from ``weight_idx`` and ``channel_sign``.
     """
 
     name: str
@@ -275,25 +283,60 @@ class FoldedLayer:
     out_levels: int
     pool_k: int
 
-    @property
-    def signed_weights(self) -> np.ndarray:
-        base = 2 * self.weight_idx.astype(np.int64) - self.weight_levels
-        return base * self.channel_sign.astype(np.int64).reshape(-1, 1, 1, 1)
-
-    @property
-    def grid_weights(self) -> np.ndarray:
-        # the channel flip is a sign change, which is exact
-        base = _grid_values(self.weight_idx, self.weight_levels)
-        return base * self.channel_sign.astype(np.float32).reshape(-1, 1, 1, 1)
-
 
 @dataclass
 class FoldedModel:
+    """A chain of folded layers and a float classifier on the last one's
+    integer output, checked once, when it is made (``__post_init__``),
+    whether ``fold_bn`` made it or ``load_folded`` read it."""
+
     layers: list
     fc_weight: np.ndarray
     fc_in_scale: float
     logit_scale: float
     preset: str = ""
+
+    def __post_init__(self):
+        """Raise ``FoldError`` naming the first layer that breaks a rule the
+        exact integer path relies on: a missing or out-of-range field, a
+        chain that does not link, or integer accumulators float64 cannot
+        hold exactly.  The first layer's input grid is not checked here, so
+        one layer of a chain can run alone on its own integer input."""
+        if not self.layers:
+            raise FoldError("the folded model has no layers")
+        for prev, layer in zip([None, *self.layers], self.layers):
+            idx, levels = layer.weight_idx, layer.weight_levels
+            linked = prev is None or idx.ndim != 4 or idx.shape[1] == prev.weight_idx.shape[0]
+            epilogue = (layer.offset, layer.clip, layer.requant)
+            for ok, problem in (
+                (idx.ndim == 4 and idx.size > 0 and idx.shape[2] == idx.shape[3]
+                 and np.all((idx == np.rint(idx)) & (idx >= 0) & (idx <= levels)),
+                 f"int_weight is not a nonempty 4-D square kernel of integers in 0..{levels}"),
+                (layer.stride >= 1 and layer.pad >= 0 and layer.pool_k >= 1,
+                 "stride or pool_k is below 1, or pad is negative"),
+                (np.all(np.abs(layer.channel_sign) == 1.0),
+                 "channel_sign holds values other than +1 and -1"),
+                (all(np.shape(v) == np.shape(idx)[:1] for v in (layer.channel_sign, *epilogue)),
+                 "a per-channel vector does not match the output channel count"),
+                (all(np.all(np.isfinite(v)) for v in epilogue),
+                 "offset, clip or requant is not finite"),
+                (np.all(np.abs(layer.offset) * levels < _ACC_LIMIT)
+                 and np.all((layer.clip >= 0) & (layer.clip * levels < _ACC_LIMIT))
+                 and np.all(layer.requant >= 0),
+                 "clip or requant is negative, or a value is past 2^53 units"),
+                (math.isfinite(layer.in_scale) and math.isfinite(layer.out_alpha),
+                 "in_scale or out_alpha is not finite"),
+                (prev is None or layer.in_levels == prev.out_levels * prev.pool_k**2,
+                 "in_levels is not the previous layer's out_levels * pool_k^2"),
+                (linked, "input channels differ from the previous layer's output channels"),
+            ):
+                if not ok:
+                    raise FoldError(f"layer '{layer.name}' {problem}")
+        for key in ("fc_in_scale", "logit_scale"):
+            if not math.isfinite(getattr(self, key)):
+                raise FoldError(f"{key} is not finite")
+        for layer in self.layers:
+            _layer_plan(layer, exact=True)  # the integer accumulators must stay exact
 
     def forward_float(self, images: np.ndarray, return_margin: bool = False):
         """Folded forward in float64: exact algebra of the folded form.
@@ -433,21 +476,27 @@ def _layer_plan(layer: FoldedLayer, exact: bool):
     add and the clip at 0 are exact in the GEMM's own dtype; past 2^53 the
     layer cannot run.
 
+    The weight operands come from ``weight_idx`` and ``channel_sign``: on
+    the exact path the signed integers 2 * idx - levels, which float64
+    holds exactly, and on the float path the float32 values of the
+    training quantizer's grid, whose sign flip is exact too.
+
     The exact path clips at the top after rounding.  With f(v) = floor(v *
-    requant + 0.5) in float64, f is monotone for requant >= 0
-    (``load_folded`` rejects a negative one), so f(min(v, clip)) equals
+    requant + 0.5) in float64, f is monotone for requant >= 0 (the model's
+    check rejects a negative one), so f(min(v, clip)) equals
     min(f(v), f(clip)).  The cap is f(clip), made by the same float64 ops,
     or ``out_levels`` where that is lower, so one minimum applies both.
     The float path clips before it scales, since its margin reads the
     clipped argument; its cap is ``out_levels``.
     """
+    sign = layer.channel_sign.reshape(-1, 1, 1, 1)
     if not exact:
-        weights, dtype = layer.grid_weights, np.float64
+        weights, dtype = _grid_values(layer.weight_idx, layer.weight_levels) * sign, np.float64
         offset, clip, requant = layer.offset, layer.clip, layer.requant * layer.weight_levels
         cap = np.full(len(clip), float(layer.out_levels))
     else:
         # offsets and clips rounded to whole accumulator units
-        weights, requant = layer.signed_weights, layer.requant
+        weights, requant = (2 * layer.weight_idx - layer.weight_levels) * sign, layer.requant
         offset, clip = (np.rint(layer.weight_levels * v) for v in (layer.offset, layer.clip))
         bound = int(np.abs(weights).reshape(len(weights), -1).sum(axis=1).max()) * layer.in_levels
         worst = bound + int(np.max(np.abs(offset)))
@@ -518,6 +567,11 @@ def fold_bn(model) -> FoldedModel:
     already-folded models are rejected.  Channels with negative BN scale
     are handled by flipping the sign of that channel's weights first;
     an exactly zero scale is an error.
+
+    Offsets, clips and requant factors are rounded to the float32 values
+    ``save_folded`` writes, so the result runs bit for bit as its file
+    does, and ``FoldedModel``'s check, the one ``load_folded`` applies,
+    raises ``FoldError`` for a fold that breaks one of its rules.
     """
     if isinstance(model, FoldedModel):
         raise FoldError("model is already folded")
@@ -561,9 +615,10 @@ def fold_bn(model) -> FoldedModel:
 
         alpha_out = pact.alpha_value
         a_out = 2**pact.bits - 1
-        offset = beta_abs / (gamma_eff * in_scale)
-        clip = alpha_out / (gamma_eff * in_scale)
-        requant = (a_out / alpha_out) * gamma_eff * in_scale / w_levels
+        with np.errstate(over="ignore"):  # the check names a value past float32
+            offset, clip, requant = (v.astype(np.float32).astype(np.float64) for v in (
+                beta_abs / (gamma_eff * in_scale), alpha_out / (gamma_eff * in_scale),
+                (a_out / alpha_out) * gamma_eff * in_scale / w_levels))
 
         pool_k = 1 if pool is None else pool.k
         layer = FoldedLayer(
@@ -582,7 +637,6 @@ def fold_bn(model) -> FoldedModel:
             out_levels=a_out,
             pool_k=pool_k,
         )
-        _layer_plan(layer, exact=True)  # raises if the accumulators cannot be exact
         layers.append(layer)
         in_scale = (alpha_out / a_out) / (pool_k * pool_k)
         in_levels = a_out * pool_k * pool_k
@@ -645,66 +699,35 @@ def load_folded(path) -> FoldedModel:
 
 
 def folded_from_checkpoint(path, ckpt: Checkpoint) -> FoldedModel:
-    """The folded model in a checkpoint read from ``path``, rejecting any
-    field the exact integer path relies on that is missing or out of range,
-    and any layer whose integer accumulators float64 cannot hold exactly."""
+    """The folded model in a checkpoint read from ``path``.  A field that
+    is missing or of the wrong type, a model that fails ``FoldedModel``'s
+    check, and a first layer that does not read the uint8 image grid are
+    each a ``CheckpointError`` that starts with the path."""
     if ckpt.kind != "folded":
         raise CheckpointError(f"{path}: expected a folded model, got '{ckpt.kind}'")
     try:
         meta = ckpt.manifest["meta"]
-        layers = [
-            FoldedLayer(
-                name=lm["name"],
-                channel_sign=np.asarray(lm["channel_sign"], dtype=np.float64),
-                **{key: cast(lm[key]) for key, cast in _LAYER_META.items()},
-                **{field: ckpt.tensors[f"L{i}.{role}"].astype(np.float64)
-                   for role, field in _LAYER_TENSORS},
-            )
-            for i, lm in enumerate(meta["layers"])
-        ]
         folded = FoldedModel(
-            layers=layers,
+            layers=[
+                FoldedLayer(
+                    name=lm["name"],
+                    channel_sign=np.asarray(lm["channel_sign"], dtype=np.float64),
+                    **{key: cast(lm[key]) for key, cast in _LAYER_META.items()},
+                    **{field: ckpt.tensors[f"L{i}.{role}"].astype(np.float64)
+                       for role, field in _LAYER_TENSORS},
+                )
+                for i, lm in enumerate(meta["layers"])
+            ],
             fc_weight=ckpt.tensors["fc.weight"].astype(np.float64),
             fc_in_scale=float(meta["fc_in_scale"]),
             logit_scale=float(meta["logit_scale"]),
             preset=ckpt.manifest.get("preset", ""),
         )
+    except FoldError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed folded model: missing or bad {exc}") from exc
-    for prev, layer in zip([None, *layers], layers):
-        idx, levels = layer.weight_idx, layer.weight_levels
-        grid = _IMAGE_LEVELS if prev is None else prev.out_levels * prev.pool_k**2
-        linked = prev is None or idx.ndim != 4 or idx.shape[1] == prev.weight_idx.shape[0]
-        for ok, problem in (
-            (idx.ndim == 4 and idx.size > 0 and idx.shape[2] == idx.shape[3]
-             and np.all((idx == np.rint(idx)) & (idx >= 0) & (idx <= levels)),
-             f"int_weight is not a nonempty 4-D square kernel of integers in 0..{levels}"),
-            (layer.stride >= 1 and layer.pad >= 0 and layer.pool_k >= 1,
-             "stride or pool_k is below 1, or pad is negative"),
-            (np.all(np.abs(layer.channel_sign) == 1.0),
-             "channel_sign holds values other than +1 and -1"),
-            (all(np.shape(v) == np.shape(idx)[:1]
-                 for v in (layer.channel_sign, layer.offset, layer.clip, layer.requant)),
-             "a per-channel vector does not match the output channel count"),
-            (np.all(np.abs(layer.offset) * levels < _ACC_LIMIT)
-             and np.all((layer.clip >= 0) & (layer.clip * levels < _ACC_LIMIT))
-             and np.all(layer.requant >= 0),
-             "clip or requant is negative, or a value is past 2^53 units"),
-            (math.isfinite(layer.in_scale) and math.isfinite(layer.out_alpha),
-             "in_scale or out_alpha is not finite"),
-            (layer.in_levels == grid,
-             f"in_levels is not {grid}, the uint8 image grid for the first layer and the "
-             "previous layer's out_levels * pool_k^2 for a later one"),
-            (linked, "input channels differ from the previous layer's output channels"),
-        ):
-            if not ok:
-                raise CheckpointError(f"{path}: layer '{layer.name}' {problem}")
-    for key in ("fc_in_scale", "logit_scale"):
-        if not math.isfinite(getattr(folded, key)):
-            raise CheckpointError(f"{path}: {key} is not finite")
-    for layer in layers:
-        try:
-            _layer_plan(layer, exact=True)  # the integer accumulators must stay exact
-        except FoldError as exc:
-            raise CheckpointError(f"{path}: {exc}") from exc
+    if folded.layers[0].in_levels != _IMAGE_LEVELS:
+        raise CheckpointError(f"{path}: layer '{folded.layers[0].name}' in_levels is not "
+                              f"{_IMAGE_LEVELS}, the uint8 image grid")
     return folded

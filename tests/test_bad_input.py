@@ -2,22 +2,27 @@
 ConfigError, and a byte string loads as a checkpoint or folded file or
 raises CheckpointError.  The CLI maps both errors to exit code 2, so any
 other exception would escape as a traceback.  A folded file that loads
-must also evaluate or exit with a documented code.  Examples these tests
-found are pinned as plain tests below them, or as explicit examples.
+must also evaluate or exit with a documented code, and a model that loads
+must fold, or raise FoldError, into a model that its file reloads as.
+Examples these tests found are pinned as plain tests below them, or as
+explicit examples.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qsat.cli import main
 from qsat.deployment import (
     CheckpointError,
+    FoldError,
     fold_bn,
     load_checkpoint,
     load_folded,
+    load_model_state,
     save_checkpoint,
     save_folded,
 )
@@ -80,16 +85,53 @@ def test_any_config_text_parses_or_raises_config_error(text):
 # -- checkpoint and folded files --------------------------------------------------
 
 
+def blobs28_model():
+    """A 4-bit ``convnet-bn`` for the 1x28x28 images of ``blobs28``."""
+    return build_preset("convnet-bn", image_size=28, in_channels=1, weight_bits=4, act_bits=4,
+                        rescale=RescaleMode.CONSTANT, seed=3)
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """The bytes of a valid model checkpoint and of a valid folded file,
-    both for the 1x28x28 images of ``blobs28``."""
+    both of ``blobs28_model``."""
     root = tmp_path_factory.mktemp("valid")
-    model = build_preset("convnet-bn", image_size=28, in_channels=1, weight_bits=4, act_bits=4,
-                         rescale=RescaleMode.CONSTANT, seed=3)
+    model = blobs28_model()
     save_checkpoint(model, root / "model.ckpt")
     save_folded(fold_bn(model), root / "folded.ckpt")
     return {kind: (root / f"{kind}.ckpt").read_bytes() for kind in ("model", "folded")}
+
+
+# the tensors of a block of ``blobs28_model`` that the fold absorbs
+FOLDED_FIELDS = ["bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var", "pact.alpha"]
+
+
+@FAST
+@example(block=2, field="pact.alpha", at=0, value=-1.0)
+@example(block=2, field="pact.alpha", at=0, value=0.0)
+@example(block=2, field="pact.alpha", at=0, value=3e38)
+@example(block=2, field="bn.running_var", at=0, value=-5.0)
+@given(block=st.integers(1, 6), field=st.sampled_from(FOLDED_FIELDS), at=st.integers(0, 31),
+       value=st.floats(width=32, allow_nan=False, allow_infinity=False)
+       | st.sampled_from([-1.0, 0.0, -0.0, 1e-45, 1e-30, 3e38, -3e38]))
+def test_model_edit_folds_as_its_file_reloads_or_raises_fold_error(tmp_path, block, field, at,
+                                                                   value):
+    model = blobs28_model()
+    tensors = {name: t.data.copy() for name, _, t in model.named_state()}
+    edited = tensors[f"block{block}.{field}"]
+    edited.flat[at % edited.size] = value
+    try:
+        load_model_state(model, tensors)
+    except CheckpointError:
+        return
+    try:
+        folded = fold_bn(model)
+    except FoldError:
+        return
+    save_folded(folded, tmp_path / "folded.ckpt")
+    again = load_folded(tmp_path / "folded.ckpt")
+    images = np.random.default_rng(0).integers(0, 256, (3, 1, 28, 28)).astype(np.float32)
+    assert np.array_equal(folded.forward_int(images), again.forward_int(images))
 
 
 def loads_or_raises_checkpoint_error(path, blob: bytes) -> None:

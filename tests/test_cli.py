@@ -395,6 +395,37 @@ class TestFoldCommand:
         assert code == 5
         assert "skip" in err
 
+    def test_fold_past_float32_is_exit_five(self, tmp_path, tiny_config, capsys):
+        # block2's clip level is a float32 value, but its clip in units of
+        # the integer accumulator is not, so no folded file can hold it
+        from qsat import deployment as dep
+        from qsat.training import build_model_from_config, parse_config_file
+
+        q_cfg = tiny_config("q8.cfg", bits="8", act_bits="8")
+        model = build_model_from_config(parse_config_file(q_cfg), (3, 32, 32), 10)
+        next(t for n, _, t in model.named_state() if n == "block2.pact.alpha").data[...] = 3e38
+        dep.save_checkpoint(model, tmp_path / "huge.ckpt")
+        code, _, err = run_cli(capsys, "fold", "--config", q_cfg,
+                               "--init", str(tmp_path / "huge.ckpt"),
+                               "--out", str(tmp_path / "folded"))
+        assert code == 5
+        assert "fold error: layer 'block2'" in err and "not finite" in err
+        assert not (tmp_path / "folded").exists()
+
+    def test_folded_file_without_layers_is_exit_two(self, tmp_path, tiny_config, capsys):
+        # the classifier alone takes the 3x32x32 images' 3072 values
+        from qsat import deployment as dep
+
+        path = tmp_path / "empty.ckpt"
+        manifest = {"kind": "folded",
+                    "tensors": [{"name": "fc.weight", "role": "weight", "shape": [3072, 10]}],
+                    "meta": {"layers": [], "fc_in_scale": 1.0, "logit_scale": 1.0}}
+        dep._write_container(path, manifest, [np.ones((3072, 10), np.float32)])
+        q_cfg = tiny_config("q8.cfg", bits="8", act_bits="8")
+        code, _, err = run_cli(capsys, "eval", "--config", q_cfg, "--init", str(path))
+        assert code == 2
+        assert "checkpoint error" in err and "no layers" in err
+
 
     # 2^52 input levels pass the meta range check and chain on from block1's
     # 2^50 output levels through its 2x2 pool, but put block2's integer
@@ -512,6 +543,26 @@ class TestCheckpointFit:
                                                      tmp_path))
         assert code == 2
         assert "checkpoint error" in err and f"tensor '{tensor}' holds a non-finite" in err
+
+    # a clip level must be positive, the domain of the activation quantizer,
+    # and a running variance cannot be negative
+    @pytest.mark.parametrize("tensor,value", [
+        ("block2.pact.alpha", -1.0), ("block2.pact.alpha", 0.0), ("block2.bn.running_var", -5.0),
+    ], ids=["alpha-minus-1", "alpha-0", "running_var-minus-5"])
+    @pytest.mark.parametrize("name", ["eval", "diagnose", "fold", "train"])
+    def test_value_outside_its_domain_is_exit_two(self, tmp_path, tiny_config, capsys, name,
+                                                  tensor, value):
+        from qsat.deployment import save_checkpoint
+        from qsat.training import build_model_from_config, parse_config_file
+
+        cfg = tiny_config("q4.cfg", bits="4", act_bits="4")
+        model = build_model_from_config(parse_config_file(cfg), (3, 32, 32), 10)
+        next(t for n, _, t in model.named_state() if n == tensor).data.flat[0] = value
+        save_checkpoint(model, tmp_path / "bad.ckpt")
+        code, _, err = run_cli(capsys, *self.command(name, cfg, str(tmp_path / "bad.ckpt"),
+                                                     tmp_path))
+        assert code == 2
+        assert "checkpoint error" in err and f"tensor '{tensor}'" in err
 
     @pytest.mark.parametrize("name", ["eval", "diagnose", "fold", "train"])
     def test_all_zero_raw_classifier_is_exit_two(self, tmp_path, tiny_config, capsys, name):
