@@ -11,11 +11,12 @@ grid indices with one real-valued rescale per layer.  It applies only to
 plain chains of quantized conv -> BN -> clipped activation; residual
 models are rejected.
 
-The folded paths lower their convolutions on their own, with patch-row
-columns in (ki, kj, c) order, which copies k*c-long contiguous runs of
-the NHWC activations.  The training lowering keeps (c, ki, kj)
-order to fix the bits of its float32 GEMMs; the folded GEMMs need no
-order, because every partial sum they make is exact (see ``_forward``).
+The folded paths lower their convolutions on their own, through
+``tensor._patch_windows``, with patch-row columns in (ki, kj, c) order as
+the engine's unrecorded convolutions have them; recorded (training)
+convolutions keep (c, ki, kj) order to fix the bits of their float32
+GEMMs.  The folded GEMMs need no order, because every partial sum they
+make is exact (see ``_forward``).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ShapeError, _conv_extent, _images_per_chunk
+from .tensor import ShapeError, _conv_extent, _images_per_chunk, _patch_windows
 from .quant import PactState, RescaleMode, rescale_scalar, weight_grid
 from .network import BN_EPS, BatchNorm2d, Pool
 
@@ -510,23 +510,6 @@ def _layer_plan(layer: FoldedLayer, exact: bool):
     wmat = weights.transpose(0, 2, 3, 1).reshape(len(weights), -1).T.astype(dtype)
     return (dtype, wmat, np.asarray(offset, dtype=dtype),
             *(np.asarray(v, dtype=np.float64) for v in (clip, requant, cap)))
-
-
-def _patch_windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """A read-only (n, ho, wo, k, k*c) view of ``xp``, a padded
-    channels-last buffer: the patch rows of its images with columns in
-    (ki, kj, c) order.
-
-    Along a padded row, the k*c values under kernel row ki at output
-    column j are one contiguous run starting at j*stride*c, so the view is
-    a window of k rows by k*c values, stepped by stride rows and stride*c
-    values.  Copying it into a buffer of its shape lowers the images with
-    k*c-long contiguous runs, where the (c, ki, kj) order of the training
-    lowering stores c-long runs at a stride of k*k.
-    """
-    n, hp, wp, c = xp.shape
-    rows = xp.reshape(n, hp, wp * c)
-    return sliding_window_view(rows, (k, k * c), axis=(1, 2))[:, ::stride, :: stride * c]
 
 
 def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:

@@ -20,11 +20,19 @@ their (c_out, c_in, k, k) layout.  Float32 sums follow memory order, so
 average pooling fixes its summation order explicitly instead of relying on
 the layout it is given.
 
-Convolution lowers to one GEMM over im2col patch rows.  The copies that
-build those rows, and the scatter-adds that fold their gradient back, run
-over ranges of whole images sized to stay in cache; they only move data,
-so the chunking changes no byte.  The GEMM always sees the whole buffer,
-since BLAS results can depend on the operand shape.
+Convolution lowers to one GEMM over patch rows.  A convolution that goes
+on the tape orders its columns (c, ki, kj): that order fixes the float32
+bits of every trained weight, and its gradient scatter is the inverse
+gather.  One that goes on no tape (under ``no_grad``, or when no operand
+requires grad, as in every evaluation) has no backward and no trained
+byte to keep, so it orders its columns (ki, kj, c), which copies k*c-long
+contiguous runs of the NHWC input; the folded inference paths lower the
+same way.  Its float32 sums may round differently from the recorded
+order's.  The copies that build the rows, and the scatter-adds that fold
+their gradient back, run over ranges of whole images sized to stay in
+cache; they only move data, so the chunking changes no byte.  The GEMM
+always sees the whole buffer, since BLAS results can depend on the
+operand shape.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -179,8 +188,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` goes on the tape."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _record(op: str, out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         _tape.append(_Node(op, out, parents, backward))
     return out
@@ -243,36 +257,63 @@ def _images_per_chunk(image_bytes: int) -> int:
     return max(1, _LOWERING_CHUNK_BYTES // max(1, image_bytes))
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, kernel_rows: bool = False):
     """Patch rows of an NHWC array of any memory layout.
 
-    Rows run over (n, ho, wo) and columns over (c, ki, kj).  The input is
-    read into a padded NHWC buffer; each of the k*k kernel offsets
-    is then one slice copy into the rows.  Both steps run over ranges of
-    whole images whose patch rows fill about ``_LOWERING_CHUNK_BYTES``, so
-    each range is padded and gathered while it is still in cache.  Every
-    element gets the same copy as in one pass over the batch, and callers
-    run one GEMM on the whole buffer.
+    Rows run over (n, ho, wo).  Columns run over (c, ki, kj), or over
+    (ki, kj, c) with ``kernel_rows``.  The input is read into a padded NHWC
+    buffer; (c, ki, kj) columns are then one slice copy per kernel offset,
+    and (ki, kj, c) columns one copy of ``_patch_windows``' view.  Both
+    steps run over ranges of whole images whose patch rows fill about
+    ``_LOWERING_CHUNK_BYTES``, so each range is padded and gathered while
+    it is still in cache.  Every element gets the same copy as in one pass
+    over the batch, and callers run one GEMM on the whole buffer.
     """
     n, h, w, c = x.shape
     ho, wo, hp, wp = _conv_extent(h, w, k, stride, pad)
-    col = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
+    col = np.empty((n, ho, wo, k, k * c) if kernel_rows else (n, ho, wo, c, k, k), dtype=x.dtype)
     step = _images_per_chunk(ho * wo * c * k * k * x.itemsize)
     # one padded buffer for a whole chunk; its border stays zero
     xp = np.zeros((min(n, step), hp, wp, c), dtype=x.dtype)
+    windows = _patch_windows(xp, k, stride) if kernel_rows else None
     for s in range(0, n, step):
         cs = col[s : s + step]
         xs = xp[: len(cs)]
         xs[:, pad : pad + h, pad : pad + w] = x[s : s + step]
-        for i in range(k):
-            for j in range(k):
-                cs[..., i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        if kernel_rows:
+            cs[...] = windows[: len(cs)]
+        else:
+            for i in range(k):
+                for j in range(k):
+                    cs[..., i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
     return col.reshape(n * ho * wo, c * k * k), ho, wo, (hp, wp)
+
+
+def _patch_windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """A read-only (n, ho, wo, k, k*c) view of ``xp``, a C-contiguous padded
+    channels-last buffer: the patch rows of its images with columns in
+    (ki, kj, c) order.
+
+    Along a padded row, the k*c values under kernel row ki at output
+    column j are one contiguous run starting at j*stride*c, so the view is
+    a window of k rows by k*c values, stepped by stride rows and stride*c
+    values.  Copying it into a buffer of its shape lowers the images with
+    k*c-long contiguous runs, where the (c, ki, kj) order stores c-long
+    runs at a stride of k*k.
+    """
+    n, hp, wp, c = xp.shape
+    rows = xp.reshape(n, hp, wp * c)
+    return sliding_window_view(rows, (k, k * c), axis=(1, 2))[:, ::stride, :: stride * c]
 
 
 def _conv_extent(h: int, w: int, k: int, stride: int, pad: int):
     """Output and padded extents (ho, wo, hp, wp) of a k x k conv."""
     hp, wp = h + 2 * pad, w + 2 * pad
+    if stride < 1 or pad < 0 or not 1 <= k <= min(hp, wp):
+        raise ShapeError(
+            f"conv geometry needs stride >= 1, pad >= 0 and 1 <= kernel <= padded "
+            f"extent: input {h}x{w}, kernel {k}, stride {stride}, pad {pad}"
+        )
     if (hp - k) % stride or (wp - k) % stride:
         raise ShapeError(
             f"conv output extent not integral: input {h}x{w}, kernel {k}, "
@@ -304,9 +345,16 @@ def _col2im(dcol, x_shape, k, stride, pad, ho, wo, padded_shape):
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of NxHxWxC input with C'xCxkxk kernels, no bias.
 
-    The (n, ho, wo, C') output is the GEMM's (n*ho*wo, C') result reshaped,
-    not copied.  Backward reads its gradient as (n*ho*wo, C') rows the same
-    way and skips the input gradient when ``x`` needs none.
+    A convolution that goes on the tape lowers its patch rows in (c, ki, kj)
+    order, which fixes the float32 bits of every trained weight; backward
+    reads those rows for the weight gradient and scatters the input
+    gradient back through ``_col2im``.  One that does not (under
+    ``no_grad``, or when no operand requires grad) has no backward, so it
+    takes the faster (ki, kj, c) order against the weight permuted to
+    (C', k, k, C).  Either way one GEMM runs over all rows, and the
+    (n, ho, wo, C') output is its (n*ho*wo, C') result reshaped, not
+    copied.  Backward reads its gradient as (n*ho*wo, C') rows the same way
+    and skips the input gradient when ``x`` needs none.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D operands, got {x.shape} and {w.shape}")
@@ -318,8 +366,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}"
         )
     n = x.shape[0]
-    col, ho, wo, padded = _im2col(x.data, k, stride, pad)
-    wmat = w.data.reshape(co, ci * k * k)
+    kernel_rows = not _records((x, w))
+    col, ho, wo, padded = _im2col(x.data, k, stride, pad, kernel_rows)
+    wmat = (w.data.transpose(0, 2, 3, 1) if kernel_rows else w.data).reshape(co, ci * k * k)
     out = Tensor((col @ wmat.T).reshape(n, ho, wo, co))
 
     def backward(g):
@@ -346,6 +395,8 @@ def avg_pool2d(x: Tensor, k: int) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d expects a 4-D input, got {x.shape}")
     n, h, w, c = x.shape
+    if k < 1:
+        raise ShapeError(f"avg_pool2d needs a window of at least 1, got {k}")
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: spatial dims {h}x{w} not divisible by {k}")
     ho, wo = h // k, w // k

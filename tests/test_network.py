@@ -303,8 +303,9 @@ class TestResidual:
         out = run_table(block, x, training=True)
         npt.assert_array_equal(out.data, x.data)
 
-    def test_eval_forward_is_batch_order_independent(self):
-        model = build_preset("preresnet-toy", weight_bits="fp", seed=12)
+    @pytest.mark.parametrize("name,bits", [("preresnet-toy", "fp"), ("convnet-bn", 4)])
+    def test_eval_forward_is_batch_order_independent(self, name, bits):
+        model = build_preset(name, weight_bits=bits, act_bits=bits, seed=12)
         x = np.random.default_rng(13).integers(0, 256, (8, 3, 32, 32)).astype(np.float32)
         perm = np.random.default_rng(14).permutation(8)
         with no_grad():

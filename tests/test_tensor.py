@@ -87,6 +87,15 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((2, 8, 8, 3))), Tensor(np.zeros((4, 3, 3, 3))),
                    stride=2, pad=1)
 
+    @pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
+    @pytest.mark.parametrize("k,stride,pad", [
+        (3, 0, 1), (3, -1, 1), (3, 1, -1), (0, 1, 0), (5, 1, 0), (7, 2, 1),
+    ], ids=["stride0", "stride-1", "pad-1", "kernel0", "kernel-past-input", "kernel-past-pad"])
+    def test_bad_geometry_rejected(self, k, stride, pad, recorded):
+        x = Tensor(np.zeros((2, 4, 4, 3)), requires_grad=recorded)
+        with pytest.raises(ShapeError, match="conv geometry"):
+            conv2d(x, Tensor(np.zeros((2, 3, k, k))), stride=stride, pad=pad)
+
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="channel mismatch"):
             conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 4, 3, 3))))
@@ -387,6 +396,74 @@ class TestLoweringBitIdentity:
         assert same_bits(nchw(xt.grad), want_dx)
 
 
+def kernel_row_reference(x, k, stride, pad):
+    """Patch rows with columns in (ki, kj, c) order, in one pass over the
+    batch: one padded copy, then one slice copy per kernel offset."""
+    n, h, w, c = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x
+    col = np.empty((n, ho, wo, k, k, c), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            col[:, :, :, i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return col.reshape(n * ho * wo, k * k * c), ho, wo
+
+
+class TestUnrecordedConv:
+    """A convolution that goes on no tape lowers its rows in (ki, kj, c)
+    order, range by range, and runs one GEMM over all of them against the
+    weight permuted to (c_out, k, k, c_in)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout_name", ["contiguous", "nchw_memory"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("ci,size,co", [(3, 32, 16), (16, 4, 12), (24, 8, 32)])
+    def test_one_gemm_over_kernel_rows(self, ci, size, co, stride, layout_name, dtype,
+                                       monkeypatch):
+        n, size = 37, size + stride - 1
+        ho = (size + 2 - 3) // stride + 1
+        image_bytes = ho * ho * ci * 9 * np.dtype(dtype).itemsize
+        # five images per chunk: 37 is seven chunks and a partial one
+        monkeypatch.setattr(T, "_LOWERING_CHUNK_BYTES", 5 * image_bytes + image_bytes // 2)
+        assert T._images_per_chunk(image_bytes) == 5
+        shape = (n, size, size, ci)
+        x = (rand(shape, seed=81) * 10.0 ** rand(shape, seed=82)).astype(dtype)
+        wv = rand((co, ci, 3, 3), seed=83).astype(dtype)
+        with no_grad():
+            out = conv2d(Tensor(TestLoweringBitIdentity.layout(x, layout_name)),
+                         Tensor(wv, requires_grad=True), stride=stride, pad=1)
+        col, ho, wo = kernel_row_reference(x, 3, stride, 1)
+        want = col @ wv.transpose(0, 2, 3, 1).reshape(co, -1).T
+        assert same_bits(out.data, want.reshape(n, ho, wo, co))
+
+    @pytest.mark.parametrize("c", [1, 3, 16])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_equals_the_recorded_conv_on_exact_sums(self, stride, pad, k, c):
+        # small integers: every partial sum is exact in float32, so the two
+        # column orders give one result
+        rng = np.random.default_rng(84)
+        size = 9 if stride == 2 else 8
+        x = rng.integers(-8, 9, (6, size, size, c)).astype(np.float32)
+        wv = rng.integers(-4, 5, (5, c, k, k)).astype(np.float32)
+        recorded = conv2d(Tensor(x, requires_grad=True), Tensor(wv), stride=stride, pad=pad)
+        assert recorded.requires_grad
+        with no_grad():
+            unrecorded = conv2d(Tensor(x), Tensor(wv, requires_grad=True), stride=stride, pad=pad)
+        npt.assert_array_equal(unrecorded.data, recorded.data)
+
+    def test_appends_nothing_to_the_tape(self):
+        xv, wv = rand((2, 8, 8, 3), seed=85), rand((4, 3, 3, 3), seed=86)
+        with no_grad():
+            out = conv2d(Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True), pad=1)
+        assert not out.requires_grad and not T._tape
+        out = conv2d(Tensor(xv), Tensor(wv), pad=1)
+        assert T.is_grad_enabled() and not out.requires_grad and not T._tape
+
+
 class TestMeanSquare:
     def test_unit_magnitudes(self):
         assert mean_square_value(Tensor([1.0, -1.0, 1.0, -1.0])) == 1.0
@@ -493,6 +570,11 @@ class TestElementwiseAndPooling:
     def test_pool_shape_errors(self):
         with pytest.raises(ShapeError):
             avg_pool2d(Tensor(np.zeros((1, 5, 5, 1))), 2)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_pool_window_below_one_rejected(self, k):
+        with pytest.raises(ShapeError, match="window of at least 1"):
+            avg_pool2d(Tensor(np.zeros((1, 4, 4, 1))), k)
 
     def test_add_forward_backward(self):
         a = Tensor(np.array([1.0, -2.0]), requires_grad=True)

@@ -10,7 +10,7 @@ from conftest import finite_difference_check
 from qsat.data import ArrayDataset, Batch, DatasetError, load_dataset, make_blobs
 from qsat.network import build_preset
 from qsat.quant import PactState, RescaleMode
-from qsat.tensor import DomainError, Tensor
+from qsat.tensor import DomainError, Tensor, no_grad
 from qsat.training import (
     SGD,
     ConfigError,
@@ -20,6 +20,7 @@ from qsat.training import (
     config_hash,
     cross_entropy,
     evaluate,
+    load_splits,
     lr_schedule,
     parse_config,
     sgd_step,
@@ -394,6 +395,28 @@ class TestTrainLoop:
         q = train(tiny_cfg(epochs=1, bits="8", act_bits="8"), init_state=init)
         # loss differs but the diagnostics stream covers identical steps
         assert [r.step for r in q.records] == [r.step for r in fp.records]
+
+    def test_quantized_top1_is_the_no_grad_forward_argmax_count(self, tmp_path):
+        # perfbench's training.evaluate_top1 check, on a 4-bit fine-tune;
+        # 80 validation images in batches of 16, 32 and 48 (a short last one)
+        fp = train(tiny_cfg(epochs=1), out_dir=None)
+        from qsat.deployment import save_checkpoint, load_checkpoint
+
+        save_checkpoint(fp.model, tmp_path / "fp.ckpt")
+        init = load_checkpoint(tmp_path / "fp.ckpt").tensors
+        cfg = tiny_cfg(epochs=1, bits="4", act_bits="4")
+        result = train(cfg, init_state=init)
+        _, val = load_splits(cfg)
+        for batch in (16, 32, 48):
+            with no_grad():
+                logits = np.concatenate([
+                    result.model.forward(Tensor(val.images[s : s + batch])).data
+                    for s in range(0, len(val), batch)])
+            hits = int(np.sum(logits.argmax(axis=1) == val.labels))
+            assert 0 < hits < len(val)
+            top1, _ = evaluate(result.model, val, batch_size=batch)
+            assert top1 * len(val) == pytest.approx(hits, abs=1e-6)
+        assert result.final_top1 == pytest.approx(evaluate(result.model, val, 16)[0], abs=1e-6)
 
     def test_quantized_weights_stay_on_grid(self, tmp_path):
         fp = train(tiny_cfg(epochs=1), out_dir=None)

@@ -5,6 +5,9 @@ for a folded run's checkpoint and for its folded file, of what ``qsat
 diagnose`` prints for each run, of each folded run's ``forward_int``
 logits and ``forward_float`` logits and margins, and of the CSV files of
 the two ``qsat study`` commands, so two checkouts can be compared by a diff.
+A ``metrics.csv`` is hashed as two lines, its header with its train rows
+and its header with its val rows: a change that keeps every trained byte
+but moves an evaluation near-tie changes only the second.
 
 The derived runs cover paths the three runs miss: a ReLU with no BN in
 front of it (one epoch of ``convnet-nobn-tail`` at full precision), the
@@ -95,6 +98,17 @@ for suffix, starts, size in (("", range(0, len(pool), cfg.batch_size), cfg.batch
 """
 
 
+def _digests(data: bytes, name: str):
+    """(sha256, name) of a file's bytes, or of a ``metrics.csv``'s header
+    with its train rows and with its val rows."""
+    if Path(name).name != "metrics.csv":
+        return [(hashlib.sha256(data).hexdigest(), name)]
+    header, *rows = data.decode().splitlines(keepends=True)
+    return [(hashlib.sha256((header + "".join(r for r in rows if r.split(",")[1] == split))
+                            .encode()).hexdigest(), f"{name} ({split} rows)")
+            for split in ("train", "val")]
+
+
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1]).resolve()
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -147,8 +161,8 @@ def main() -> int:
                            env=env, cwd=tmp, check=True, stdout=subprocess.DEVNULL)
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(tmp).as_posix()}")
+                for digest, name in _digests(path.read_bytes(), path.relative_to(tmp).as_posix()):
+                    print(f"{digest}  {name}")
     return 0
 
 
