@@ -196,7 +196,10 @@ def cmd_diagnose(args) -> int:
 
 def cmd_study(args) -> int:
     from . import diagnostics
+    from .training import ConfigError
 
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     out_dir = _resolve_out_dir(args.out, args.force)
     if args.name == "clamp-var":
         rows = diagnostics.clamp_variance_study(

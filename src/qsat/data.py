@@ -1,14 +1,19 @@
 """Datasets: a deterministic synthetic generator for desk-scale runs plus
 readers for the published MNIST (IDX) and CIFAR-10 (binary batch) formats.
 
-Images are kept as uint8-valued reals in [0, 255]; no demeaning or
-normalization is applied anywhere in the pipeline.
+Every split is an ``ArrayDataset``, whose construction is the one check of
+what a split holds, whichever way it was made.  Images are kept as
+uint8-valued reals in [0, 255]; no demeaning or normalization is applied
+anywhere in the pipeline.  A dataset file that cannot be read or parsed
+raises ``DatasetError`` with its path.
 """
 
 from __future__ import annotations
 
 import gzip
 import struct
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,28 +36,34 @@ class DatasetError(ValueError):
 
 @dataclass
 class Batch:
-    """One minibatch: NxCxHxW images in [0, 255] and integer labels."""
+    """One minibatch of a split: its images and labels, which the split's
+    ``ArrayDataset`` has checked."""
 
     images: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self):
-        if self.images.ndim != 4:
-            raise DatasetError(f"batch images must be 4-D, got {self.images.shape}")
+
+class ArrayDataset:
+    """In-memory split of images (float32, 0..255) and int64 labels.
+
+    Construction checks what a split must hold: at least one NxCxHxW image,
+    every pixel in [0, 255] (a NaN fails), and one non-negative integer
+    label per image.  It raises ``DatasetError`` otherwise.
+    """
+
+    def __init__(self, images: np.ndarray, labels: np.ndarray):
+        if images.ndim != 4 or images.size == 0:
+            raise DatasetError(f"a split needs at least one NxCxHxW image, got shape {images.shape}")
+        if (labels.shape != images.shape[:1] or not np.issubdtype(labels.dtype, np.integer)
+                or labels.min() < 0):
+            raise DatasetError(f"{len(images)} images need one non-negative integer label each, "
+                               f"got {labels.dtype} labels of shape {labels.shape}")
+        self.images = images.astype(np.float32, copy=False)
+        self.labels = labels.astype(np.int64, copy=False)
         lo, hi = float(self.images.min()), float(self.images.max())
         # written so that a NaN pixel fails it
         if not (lo >= 0.0 and hi <= 255.0):
             raise DatasetError(f"image values outside [0, 255]: min {lo}, max {hi}")
-
-
-class ArrayDataset:
-    """In-memory dataset of images (float32, 0..255) and int labels."""
-
-    def __init__(self, images: np.ndarray, labels: np.ndarray):
-        if len(images) != len(labels):
-            raise DatasetError("images and labels disagree in length")
-        self.images = images.astype(np.float32, copy=False)
-        self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -63,7 +74,7 @@ class ArrayDataset:
 
     @property
     def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
+        return int(self.labels.max()) + 1
 
 
 def _upsample_nearest(coarse: np.ndarray, size: int) -> np.ndarray:
@@ -117,24 +128,33 @@ def make_blobs(
 # -- published binary formats ----------------------------------------------
 
 
-def _open_maybe_gz(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+@contextmanager
+def _reading(*paths):
+    """Report a failure to read or parse the files at ``paths``, or to make
+    a split of them, as a ``DatasetError`` that starts with their paths."""
+    try:
+        yield
+    # a DatasetError is a ValueError, so a check's message gains the paths too
+    except (OSError, EOFError, zlib.error, struct.error, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DatasetError(f"{', '.join(map(str, paths))}: {reason}") from exc
 
 
-def _read_idx(path: Path) -> np.ndarray:
-    with _open_maybe_gz(path) as fh:
+def _read_idx(path: Path, item_shape=None) -> np.ndarray:
+    """The array of an IDX file, gunzipped when its name ends in ``.gz``,
+    whose items (the rows of its first axis) must be of ``item_shape`` when
+    one is given."""
+    with _reading(path), (gzip.open if path.suffix == ".gz" else open)(path, "rb") as fh:
         magic = struct.unpack(">I", fh.read(4))[0]
         kind = (magic >> 8) & 0xFF
         ndim = magic & 0xFF
         if kind != 0x08:
-            raise DatasetError(f"{path}: unsupported IDX element type {kind:#x}")
+            raise DatasetError(f"unsupported IDX element type {kind:#x}")
         dims = struct.unpack(f">{ndim}I", fh.read(4 * ndim))
-        data = np.frombuffer(fh.read(), dtype=np.uint8)
-    if data.size != int(np.prod(dims)):
-        raise DatasetError(f"{path}: payload length does not match header dims {dims}")
-    return data.reshape(dims)
+        data = np.frombuffer(fh.read(), dtype=np.uint8).reshape(dims)
+        if item_shape is not None and data.shape[1:] != item_shape:
+            raise DatasetError(f"items of shape {data.shape[1:]}, not {item_shape}")
+        return data
 
 
 def _find_idx(directory: Path, stem: str) -> Path:
@@ -148,38 +168,31 @@ def _find_idx(directory: Path, stem: str) -> Path:
 def load_mnist(directory) -> tuple[ArrayDataset, ArrayDataset]:
     """Read the four IDX files (optionally gzipped) from a directory."""
     directory = Path(directory)
-    if not directory.is_dir():
-        raise DatasetError(f"dataset directory not found: {directory}")
     out = []
     for split in ("train", "t10k"):
-        images = _read_idx(_find_idx(directory, f"{split}-images-idx3-ubyte"))
-        labels = _read_idx(_find_idx(directory, f"{split}-labels-idx1-ubyte"))
-        out.append(
-            ArrayDataset(
-                images.reshape(-1, 1, 28, 28).astype(np.float32),
-                labels.astype(np.int64),
-            )
-        )
+        image_path = _find_idx(directory, f"{split}-images-idx3-ubyte")
+        label_path = _find_idx(directory, f"{split}-labels-idx1-ubyte")
+        images, labels = _read_idx(image_path, (28, 28))[:, None], _read_idx(label_path)
+        with _reading(image_path, label_path):
+            out.append(ArrayDataset(images, labels))
     return out[0], out[1]
 
 
 def load_cifar10(directory) -> tuple[ArrayDataset, ArrayDataset]:
     """Read CIFAR-10 binary batches (data_batch_*.bin, test_batch.bin)."""
     directory = Path(directory)
-    if not directory.is_dir():
-        raise DatasetError(f"dataset directory not found: {directory}")
     record = 1 + 3 * 32 * 32
 
     def read_batches(paths):
-        images, labels = [], []
+        rows = []
         for path in paths:
-            raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
-            if raw.size == 0 or raw.size % record:
-                raise DatasetError(f"{path}: size {raw.size} not a whole batch")
-            rows = raw.reshape(-1, record)
-            labels.append(rows[:, 0].astype(np.int64))
-            images.append(rows[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32))
-        return ArrayDataset(np.concatenate(images), np.concatenate(labels))
+            with _reading(path):
+                raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+                if raw.size == 0 or raw.size % record:
+                    raise DatasetError(f"size {raw.size} not a whole batch")
+            rows.append(raw.reshape(-1, record))
+        rows = np.concatenate(rows)
+        return ArrayDataset(rows[:, 1:].reshape(-1, 3, 32, 32), rows[:, 0])
 
     train_paths = sorted(directory.glob("data_batch_*.bin"))
     test_path = directory / "test_batch.bin"

@@ -203,20 +203,24 @@ def load_model_state(model, tensors: dict[str, np.ndarray]) -> None:
     missing name or another shape), a clip level that is not positive (the
     domain of ``pact_quantize``), a negative BN running variance, and an
     all-zero weight of a layer whose scheme clamps it or of the classifier,
-    whose spread kappa0 divides by, as ``CheckpointError``."""
+    whose spread kappa0 divides by, as ``CheckpointError``.  The values are
+    checked before any is assigned, so an error leaves the model as it was."""
+    infos = model.linear_infos()
+    spread = {f"{i.name}.weight" for i in infos if i.layer.scheme is not None or i is infos[-1]}
+    for name, role, t in model.named_state():
+        # the value the slot would hold; a clip level the source lacks keeps its own
+        value = np.asarray(tensors.get(name, t.data), t.dtype)
+        if (role == "alpha" and np.any(value <= 0)) or (role == "bn_var" and np.any(value < 0)):
+            raise CheckpointError(f"tensor '{name}' holds {np.min(value)}: clip levels must be "
+                                  "positive and running variances non-negative")
+        # an empty weight of another shape is left for load_state to report
+        if name in spread and value.size and not np.any(value):
+            raise CheckpointError(f"tensor '{name}' is all zero; the weight "
+                                  "clamp and kappa0 need a nonzero entry")
     try:
         model.load_state(tensors)
     except (KeyError, ShapeError) as exc:
         raise CheckpointError(exc.args[0]) from exc
-    for name, role, t in model.named_state():
-        if (role == "alpha" and np.min(t.data) <= 0) or (role == "bn_var" and np.min(t.data) < 0):
-            raise CheckpointError(f"tensor '{name}' holds {np.min(t.data)}: clip levels must be "
-                                  "positive and running variances non-negative")
-    infos = model.linear_infos()
-    for info in infos:
-        if (info.layer.scheme is not None or info is infos[-1]) and not np.any(info.layer.w.data):
-            raise CheckpointError(f"tensor '{info.name}.weight' is all zero; the weight "
-                                  "clamp and kappa0 need a nonzero entry")
 
 
 def check_model_checkpoint(path, ckpt: Checkpoint, expect_hash: str | None) -> None:

@@ -346,9 +346,7 @@ def _topk_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> int:
 
 def accuracy(logits_fn, dataset: ArrayDataset, batch_size: int):
     """Top-1/top-5 accuracy of ``logits_fn(images)`` over ``dataset`` in
-    batches of ``batch_size``."""
-    if len(dataset) == 0:
-        raise DatasetError("cannot evaluate on an empty dataset")
+    batches of ``batch_size``; an ``ArrayDataset`` is never empty."""
     hits1 = hits5 = 0
     for start in range(0, len(dataset), batch_size):
         labels = dataset.labels[start : start + batch_size]
@@ -404,8 +402,6 @@ def train(
             "checkpoint (pass one via --init)"
         )
     train_set, val_set, model = open_model(cfg, init_state)
-    if len(train_set) == 0 or len(val_set) == 0:
-        raise DatasetError("empty dataset")
 
     flip_augment = train_set.image_shape[-1] == 32
     data_rng = np.random.default_rng([cfg.seed, 0xDA7A])

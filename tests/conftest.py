@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,38 @@ def finite_difference_check(fn, point: tensor.Tensor, eps: float = 1e-5, coords=
     diff = np.abs(analytic - numeric)[mask]
     scale = max(float(np.max(np.abs(numeric[mask]), initial=0.0)), 1e-12)
     return float(np.max(diff, initial=0.0) / scale)
+
+
+def write_idx(path, array, gz=False):
+    """An IDX file of unsigned bytes, gzipped (with a fixed header time)
+    when ``gz`` is set."""
+    header = (0x0800 | array.ndim).to_bytes(4, "big")
+    header += b"".join(d.to_bytes(4, "big") for d in array.shape)
+    blob = header + array.astype(np.uint8).tobytes()
+    path.write_bytes(gzip.compress(blob, mtime=0) if gz else blob)
+
+
+def write_mnist(directory, counts=(20, 10)):
+    """The four MNIST files of ``counts`` training and test images, the
+    test split gzipped; returns the directory."""
+    rng = np.random.default_rng(0)
+    directory.mkdir(parents=True, exist_ok=True)
+    for split, count in zip(("train", "t10k"), counts):
+        gz = split == "t10k"
+        suffix = ".gz" if gz else ""
+        write_idx(directory / f"{split}-images-idx3-ubyte{suffix}",
+                  rng.integers(0, 256, (count, 28, 28)), gz)
+        write_idx(directory / f"{split}-labels-idx1-ubyte{suffix}", np.arange(count) % 10, gz)
+    return directory
+
+
+def write_cifar(directory, counts=(20, 10)):
+    """A CIFAR-10 directory: one training batch file and the test batch
+    file, of ``counts`` records; returns the directory."""
+    rng = np.random.default_rng(0)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, count in zip(("data_batch_1.bin", "test_batch.bin"), counts):
+        rows = rng.integers(0, 256, (count, 1 + 3 * 32 * 32), dtype=np.uint8)
+        rows[:, 0] = np.arange(count) % 10
+        (directory / name).write_bytes(rows.tobytes())
+    return directory

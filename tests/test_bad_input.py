@@ -1,6 +1,7 @@
 """Property tests for malformed input: a config text parses or raises
-ConfigError, and a byte string loads as a checkpoint or folded file or
-raises CheckpointError.  The CLI maps both errors to exit code 2, so any
+ConfigError, a byte string loads as a checkpoint or folded file or
+raises CheckpointError, and an edited dataset directory loads or raises
+DatasetError.  The CLI maps these errors to exit codes 2 and 3, so any
 other exception would escape as a traceback.  A folded file that loads
 must also evaluate or exit with a documented code, and a model that loads
 must fold, or raise FoldError, into a model that its file reloads as.
@@ -10,12 +11,16 @@ explicit examples.
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_cifar, write_mnist
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qsat.cli import main
+from qsat.data import ArrayDataset, DatasetError, load_dataset
 from qsat.deployment import (
     CheckpointError,
     FoldError,
@@ -132,6 +137,44 @@ def test_model_edit_folds_as_its_file_reloads_or_raises_fold_error(tmp_path, blo
     again = load_folded(tmp_path / "folded.ckpt")
     images = np.random.default_rng(0).integers(0, 256, (3, 1, 28, 28)).astype(np.float32)
     assert np.array_equal(folded.forward_int(images), again.forward_int(images))
+
+
+@FAST
+# the gzipped test labels' CRC, the gzipped test images cut short, the IDX
+# training images' header cut short, and a CIFAR-10 file that is a directory
+@example(dataset="mnist", which=1, edit="overwrite", at=22, blob=b"\xff")
+@example(dataset="mnist", which=0, edit="truncate", at=1000, blob=b"\x00")
+@example(dataset="mnist", which=2, edit="truncate", at=10, blob=b"\x00")
+@example(dataset="cifar10", which=0, edit="directory", at=0, blob=b"\x00")
+@given(dataset=st.sampled_from(["mnist", "cifar10"]), which=st.integers(0, 3),
+       edit=st.sampled_from(["truncate", "extend", "overwrite", "directory"]),
+       at=st.integers(0, 2**20), blob=st.binary(min_size=1, max_size=16))
+def test_dataset_file_edit_loads_or_raises_dataset_error(tmp_path, dataset, which, edit, at,
+                                                         blob):
+    # a tiny directory of each format, the MNIST test split gzipped; ``which``
+    # picks the file to edit in name order
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    (write_mnist if dataset == "mnist" else write_cifar)(directory, counts=(3, 2))
+    paths = sorted(directory.iterdir())
+    path = paths[which % len(paths)]
+    data = path.read_bytes()
+    if edit == "truncate":
+        path.write_bytes(data[:at % len(data)])
+    elif edit == "extend":
+        path.write_bytes(data + blob)
+    elif edit == "overwrite":
+        at %= len(data)
+        path.write_bytes(data[:at] + blob + data[at + len(blob):])
+    else:
+        path.unlink()
+        path.mkdir()
+    try:
+        splits = load_dataset(dataset, path=directory)
+    except DatasetError:
+        return
+    for split in splits:
+        assert isinstance(split, ArrayDataset) and len(split) > 0
+        assert split.images.ndim == 4 and split.labels.shape == (len(split),)
 
 
 def loads_or_raises_checkpoint_error(path, blob: bytes) -> None:

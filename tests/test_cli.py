@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import write_cifar, write_idx, write_mnist
 
 from qsat.cli import main
 
@@ -274,6 +275,14 @@ class TestStudyCommand:
                 "--seed", "3")
         assert (tmp_path / "a/clamp_var.csv").read_bytes() == \
             (tmp_path / "b/clamp_var.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["clamp-var", "quant-var"])
+    def test_negative_seed_is_exit_two(self, tmp_path, capsys, name):
+        code, summary, err = run_cli(capsys, "study", name, "--out", str(tmp_path / "s"),
+                                     "--seed", "-1")
+        assert code == 2 and summary == {}
+        assert "config error" in err and "seed" in err
+        assert not (tmp_path / "s").exists()
 
     def test_unknown_study_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -667,13 +676,6 @@ class TestUnreadableInputs:
         assert taken.read_text() == "not a directory\n"
 
 
-def write_idx(path, array):
-    """An uncompressed IDX file of unsigned bytes."""
-    header = (0x0800 | array.ndim).to_bytes(4, "big")
-    header += b"".join(d.to_bytes(4, "big") for d in array.shape)
-    path.write_bytes(header + array.astype(np.uint8).tobytes())
-
-
 class TestOpenRun:
     """Every command that takes --init reads its config, dataset and
     checkpoint once, and checks a model checkpoint once."""
@@ -763,6 +765,97 @@ class TestOpenRun:
                                    "--init", str(tmp_path / name))
             assert code == 3, name
             assert "dataset error" in err
+
+
+def gz_edit(edit):
+    """An edit of the gzipped MNIST test labels' bytes."""
+    def apply(directory):
+        path = directory / "t10k-labels-idx1-ubyte.gz"
+        path.write_bytes(edit(bytearray(path.read_bytes())))
+        return path
+    return apply
+
+
+def flip_crc(blob):
+    blob[-8] ^= 0xFF  # the trailer's CRC-32 of the uncompressed bytes
+    return bytes(blob)
+
+
+def into_directory(name):
+    def apply(directory):
+        (directory / name).unlink()
+        (directory / name).mkdir()
+        return directory / name
+    return apply
+
+
+def rewrite(name, blob):
+    def apply(directory):
+        (directory / name).write_bytes(blob)
+        return directory / name
+    return apply
+
+
+def rewrite_idx(name, array):
+    def apply(directory):
+        write_idx(directory / name, array)
+        return directory / name
+    return apply
+
+
+# (dataset, edit of a valid directory that returns the file it broke)
+MALFORMED_DATASETS = {
+    "empty-idx": ("mnist", rewrite("train-images-idx3-ubyte", b"")),
+    "idx-header-cut-short": ("mnist", rewrite("train-images-idx3-ubyte",
+                                              b"\x00\x00\x08\x03" + (20).to_bytes(4, "big"))),
+    "mnist-32x32": ("mnist", rewrite_idx("train-images-idx3-ubyte", np.zeros((20, 32, 32)))),
+    "gz-not-gzip": ("mnist", gz_edit(lambda blob: b"\x00\x00\x08\x01" + bytes(14))),
+    "gz-bad-crc": ("mnist", gz_edit(flip_crc)),
+    "gz-truncated": ("mnist", gz_edit(lambda blob: bytes(blob[:-10]))),
+    "gz-bad-deflate": ("mnist", gz_edit(lambda blob: bytes(blob[:10] + b"\xff" * 4 + blob[14:]))),
+    "mnist-directory": ("mnist", into_directory("train-labels-idx1-ubyte")),
+    "mnist-gz-directory": ("mnist", into_directory("t10k-images-idx3-ubyte.gz")),
+    "cifar-directory": ("cifar10", into_directory("data_batch_1.bin")),
+    "cifar-test-directory": ("cifar10", into_directory("test_batch.bin")),
+    "labels-3d": ("mnist", rewrite_idx("train-labels-idx1-ubyte", np.zeros((20, 1, 1)))),
+}
+
+
+class TestMalformedDatasetFiles:
+    """A dataset file that cannot be read or parsed, or that makes no valid
+    split, exits 3 naming the file, and leaves no run directory."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", list(MALFORMED_DATASETS))
+    def test_exits_three_naming_the_file(self, tmp_path, capsys, command, case):
+        from qsat import deployment
+        from qsat.training import build_model_from_config, parse_config_file
+
+        dataset, edit = MALFORMED_DATASETS[case]
+        directory = (write_mnist if dataset == "mnist" else write_cifar)(tmp_path / "data")
+        broken = edit(directory)
+        cfg = tmp_path / "fp.cfg"
+        cfg.write_text(TINY.format(bits="fp", act_bits="fp").replace("blobs32", dataset))
+        args = [command, "--config", str(cfg), "--dataset", str(directory),
+                "--out", str(tmp_path / "run")]
+        if command == "eval":
+            shape = (1, 28, 28) if dataset == "mnist" else (3, 32, 32)
+            model = build_model_from_config(parse_config_file(cfg), shape, 10)
+            deployment.save_checkpoint(model, tmp_path / "fp.ckpt")
+            args += ["--init", str(tmp_path / "fp.ckpt")]
+        code, summary, err = run_cli(capsys, *args)
+        assert code == 3 and summary == {}
+        assert err.startswith("dataset error: ") and str(broken) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_valid_mnist_directory_trains(self, tmp_path, capsys):
+        # the edits above break this directory, whose test split is gzipped
+        directory = write_mnist(tmp_path / "data")
+        cfg = tmp_path / "fp.cfg"
+        cfg.write_text(TINY.format(bits="fp", act_bits="fp").replace("blobs32", "mnist"))
+        code, summary, _ = run_cli(capsys, "train", "--config", str(cfg), "--dataset",
+                                   str(directory), "--out", str(tmp_path / "run"))
+        assert code == 0 and summary["status"] == "ok"
 
 
 class TestSampleConfigs:

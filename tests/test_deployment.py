@@ -154,6 +154,25 @@ class TestCheckpointContainer:
         with pytest.raises(dep.CheckpointError, match="'block3.weight' is all zero"):
             dep.load_model_state(model, state)
 
+    @pytest.mark.parametrize("name,value", [
+        ("block2.pact.alpha", -1.0), ("block2.pact.alpha", 0.0),
+        ("block3.bn.running_var", -5.0), ("block3.weight", 0.0), ("fc.weight", 0.0),
+    ])
+    def test_rejected_state_leaves_the_model_as_it_was(self, name, value):
+        # every tensor but the bad one would load; none may be assigned
+        source = build_preset("convnet-bn", weight_bits=4, act_bits=4,
+                              rescale=RescaleMode.CONSTANT, seed=5)
+        state = {n: t.data.copy() for n, _, t in source.named_state()}
+        for arr in state.values():
+            arr += 0.5
+        state[name][...] = value
+        model = build_preset("convnet-bn", weight_bits=4, act_bits=4,
+                             rescale=RescaleMode.CONSTANT, seed=60)
+        before = [(n, t.data.tobytes()) for n, _, t in model.named_state()]
+        with pytest.raises(dep.CheckpointError, match=name):
+            dep.load_model_state(model, state)
+        assert [(n, t.data.tobytes()) for n, _, t in model.named_state()] == before
+
     def test_all_zero_raw_weight_loads(self):
         # a raw layer uses its weight as it is; nothing divides by its spread
         raw = build_preset("convnet-bn", weight_bits="raw", seed=6)

@@ -240,14 +240,39 @@ class TestDatasets:
         assert np.all(counts == 20)
 
     def test_batch_range_validation(self):
-        with pytest.raises(DatasetError):
-            Batch(np.full((1, 1, 2, 2), 300.0), np.zeros(1, dtype=np.int64))
+        # a split's pixels are checked once, where the split is made
+        for value in (300.0, 255.5, -1.0):
+            with pytest.raises(DatasetError, match=r"outside \[0, 255\]"):
+                ArrayDataset(np.full((1, 1, 2, 2), value), np.zeros(1, dtype=np.int64))
+        ArrayDataset(np.array([0.0, 255.0]).reshape(2, 1, 1, 1), np.zeros(2, dtype=np.int64))
 
     def test_batch_nan_pixel_rejected(self):
         images = np.zeros((1, 1, 2, 2))
         images[0, 0, 1, 0] = np.nan
+        with pytest.raises(DatasetError, match="nan"):
+            ArrayDataset(images, np.zeros(1, dtype=np.int64))
+
+    @pytest.mark.parametrize("images,labels", [
+        (np.zeros((0, 1, 2, 2)), np.zeros(0, np.int64)),
+        (np.zeros((2, 0, 2, 2)), np.zeros(2, np.int64)),
+        (np.zeros((2, 4)), np.zeros(2, np.int64)),
+        (np.zeros((2, 1, 2, 2)), np.zeros(3, np.int64)),
+        (np.zeros((2, 1, 2, 2)), np.zeros((2, 1, 1), np.uint8)),
+        (np.zeros((2, 1, 2, 2)), np.zeros((), np.int64)),
+        (np.zeros((2, 1, 2, 2)), np.zeros(2)),
+        (np.zeros((2, 1, 2, 2)), np.array([0, -1])),
+    ], ids=["empty", "no-channels", "2-d-images", "more-labels", "3-d-labels", "0-d-labels",
+            "float-labels", "negative-label"])
+    def test_split_check(self, images, labels):
+        # an empty split, an image that is not NxCxHxW, or labels that are
+        # not one non-negative integer per image
         with pytest.raises(DatasetError):
-            Batch(images, np.zeros(1, dtype=np.int64))
+            ArrayDataset(images, labels)
+
+    def test_batch_checks_nothing(self):
+        # the split checked its images once; a minibatch is a plain container
+        batch = Batch(np.full((1, 2), np.nan), np.zeros(3))
+        assert batch.images.shape == (1, 2) and batch.labels.shape == (3,)
 
     def test_mnist_idx_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -278,6 +303,16 @@ class TestDatasets:
         train, test = load_dataset("cifar10", path=tmp_path)
         assert train.images.shape == (24, 3, 32, 32)
         assert len(test) == 8
+        # each record is a label byte, then the red, green and blue planes
+        # row by row: the image is CHW
+        rows = np.frombuffer((tmp_path / "data_batch_1.bin").read_bytes(), np.uint8)
+        rows = rows.reshape(24, 1 + 3072)
+        npt.assert_array_equal(train.labels, rows[:, 0])
+        npt.assert_array_equal(train.images[5, 1, 2, :], rows[5, 1 + 1024 + 2 * 32:][:32])
+        npt.assert_array_equal(train.images, rows[:, 1:].reshape(24, 3, 32, 32))
+        assert train.images.dtype == np.float32 and train.labels.dtype == np.int64
+        test_rows = np.frombuffer((tmp_path / "test_batch.bin").read_bytes(), np.uint8)
+        npt.assert_array_equal(test.labels, test_rows.reshape(8, -1)[:, 0])
 
     def test_missing_dataset_dir(self, tmp_path):
         with pytest.raises(DatasetError):
@@ -342,10 +377,10 @@ class TestEvaluate:
         assert top1 == 1.0 and top5 == 1.0
 
     def test_empty_dataset_rejected(self):
-        empty = ArrayDataset(np.zeros((0, 3, 32, 32), dtype=np.float32),
-                             np.zeros(0, dtype=np.int64))
-        with pytest.raises(DatasetError):
-            evaluate(None, empty)
+        # an empty split is rejected where it is made, so evaluate never sees one
+        with pytest.raises(DatasetError, match="at least one"):
+            ArrayDataset(np.zeros((0, 3, 32, 32), dtype=np.float32),
+                         np.zeros(0, dtype=np.int64))
 
 
 class TestTrainLoop:

@@ -1,5 +1,5 @@
 """Print the sha256 of every file that ``qsat train`` writes for the three
-``perfbench/configs`` runs and five short runs derived from them, of the
+``perfbench/configs`` runs and seven short runs derived from them, of the
 file ``qsat fold`` writes for each folded run, of what ``qsat eval`` prints
 for a folded run's checkpoint and for its folded file, of what ``qsat
 diagnose`` prints for each run, of each folded run's ``forward_int``
@@ -19,8 +19,15 @@ full-precision ``convnet-nobn-tail`` run), and the scheme paths of uniform
 edge bit-widths and per-layer overrides (one epoch of a 4-bit
 ``convnet-bn`` fine-tune from the full-precision run with
 ``first_last_bits=uniform``, ``layer2.bits=3`` and
-``layer3.rescale=stddev``).  Their configs are the base
-configs with some keys replaced, written to the temporary directory.
+``layer3.rescale=stddev``), and the two dataset file readers (one
+full-precision epoch of ``convnet-bn`` on an MNIST-format directory whose
+test split is gzipped, and one on a CIFAR-10 directory, each given by
+``--dataset``).  Their configs are the base configs with some keys
+replaced, written to the temporary directory.  The dataset files are
+pseudo-random bytes that depend only on this script, written to the
+temporary directory and hashed with it; ``--dataset`` names them by a
+path relative to it, so the config hash a checkpoint holds does not
+depend on where the temporary directory is.
 
 The folded runs are the 4-bit run and the LEGACY ``convnet-nobn-tail`` run.
 The folded outputs cover the 640-image validation pool of each folded run's
@@ -38,8 +45,10 @@ one BLAS thread; nothing under ``perfbench/`` is written.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -63,7 +72,14 @@ RUNS = (
     ("q4-overrides", "q4_convnet.cfg",
      {"epochs": 1, "warmup_epochs": 0, "first_last_bits": "uniform", "layer2.bits": 3,
       "layer3.rescale": "stddev"}, "fp"),
+    ("mnist-fp", "fp_convnet.cfg", {"dataset": "mnist", "epochs": 1, "warmup_epochs": 0}, None),
+    ("cifar10-fp", "fp_convnet.cfg", {"dataset": "cifar10", "epochs": 1, "warmup_epochs": 0},
+     None),
 )
+# run: the --dataset directory it reads, relative to the temporary directory
+DATASET_DIRS = {"mnist-fp": "datasets/mnist", "cifar10-fp": "datasets/cifar10"}
+# training and test images of each file-format dataset
+FILE_SPLITS = (64, 32)
 # folded run: directory of its folded outputs; the 4-bit run's keep the
 # directory they had when only that run's were hashed, so its lines stay
 # comparable with older checkouts' digests
@@ -98,6 +114,32 @@ for suffix, starts, size in (("", range(0, len(pool), cfg.batch_size), cfg.batch
 """
 
 
+def write_datasets(root: Path) -> None:
+    """The MNIST-format directory, its test split gzipped with a fixed
+    header time, and the CIFAR-10 directory that ``DATASET_DIRS`` name.
+    Pixels are SHAKE-256 output and labels cycle through the ten classes."""
+    def pixels(name: str, size: int) -> bytes:
+        return hashlib.shake_256(name.encode()).digest(size)
+
+    mnist, cifar = root / DATASET_DIRS["mnist-fp"], root / DATASET_DIRS["cifar10-fp"]
+    mnist.mkdir(parents=True)
+    cifar.mkdir(parents=True)
+    for split, count in zip(("train", "t10k"), FILE_SPLITS):
+        files = {f"{split}-images-idx3-ubyte": struct.pack(">4I", 0x803, count, 28, 28)
+                 + pixels(split, count * 28 * 28),
+                 f"{split}-labels-idx1-ubyte": struct.pack(">2I", 0x801, count)
+                 + bytes(i % 10 for i in range(count))}
+        for name, blob in files.items():
+            if split == "t10k":
+                name, blob = name + ".gz", gzip.compress(blob, mtime=0)
+            (mnist / name).write_bytes(blob)
+    for name, count in zip(("data_batch_1.bin", "test_batch.bin"), FILE_SPLITS):
+        image = 3 * 32 * 32
+        data = pixels(name, count * image)
+        (cifar / name).write_bytes(b"".join(bytes([i % 10]) + data[i * image:(i + 1) * image]
+                                            for i in range(count)))
+
+
 def _digests(data: bytes, name: str):
     """(sha256, name) of a file's bytes, or of a ``metrics.csv``'s header
     with its train rows and with its val rows."""
@@ -124,8 +166,12 @@ def main() -> int:
             configs[name] = config_dir / f"{name}.cfg"
             configs[name].write_text("\n".join(lines + [f"{k}={v}" for k, v in replaced.items()]) + "\n")
 
+        write_datasets(Path(tmp))
+
         def qsat(command, name, *extra, check=True):
             cmd = [sys.executable, "-m", "qsat.cli", command, "--config", str(configs[name]), *extra]
+            if name in DATASET_DIRS:
+                cmd += ["--dataset", DATASET_DIRS[name]]
             return subprocess.run(cmd, env=env, cwd=tmp, check=check, stdout=subprocess.PIPE)
 
         def checkpoint(name):
