@@ -27,7 +27,12 @@ __all__ = [
     "load_mnist",
     "load_cifar10",
     "load_dataset",
+    "DATASETS",
 ]
+
+# the dataset names of run configs, which ``load_dataset`` dispatches on; a
+# blobs dataset is generated, not read, so it takes no path
+DATASETS = ("blobs32", "blobs28", "mnist", "cifar10")
 
 
 class DatasetError(ValueError):
@@ -83,46 +88,53 @@ def _upsample_nearest(coarse: np.ndarray, size: int) -> np.ndarray:
     return np.kron(coarse, np.ones((1, factor, factor)))[:, :size, :size]
 
 
+# make_blobs' class count, and the spread of its class templates and of its
+# per-sample noise around them, in pixel levels
+_BLOB_CLASSES = 10
+_BLOB_CONTRAST = 28.0
+_BLOB_NOISE = 60.0
+
+
 def make_blobs(
     n_train: int = 1280,
     n_val: int = 320,
     image_size: int = 32,
     channels: int = 3,
-    classes: int = 10,
     seed: int = 0,
-    contrast: float = 28.0,
-    noise: float = 60.0,
 ) -> tuple[ArrayDataset, ArrayDataset]:
-    """Deterministic synthetic image classes: coarse random templates plus
-    per-sample Gaussian noise, clipped and rounded to the uint8 range.
+    """Deterministic synthetic image classes: ``_BLOB_CLASSES`` coarse random
+    templates of spread ``_BLOB_CONTRAST`` around mid-grey, plus per-sample
+    Gaussian noise of spread ``_BLOB_NOISE``, clipped and rounded to the
+    uint8 range.  Each split holds as many images of every class.
 
     Generation depends only on the arguments, never on global RNG state,
     so two runs with the same seed see byte-identical data.
     """
-    if n_train % classes or n_val % classes:
+    if n_train % _BLOB_CLASSES or n_val % _BLOB_CLASSES:
         raise DatasetError("sample counts must be divisible by the class count")
     rng = np.random.default_rng([seed, 0xB10B5])
     grid = max(image_size // 8, 2)
     templates = []
-    for _ in range(classes):
+    for _ in range(_BLOB_CLASSES):
         coarse = rng.standard_normal((channels, grid, grid))
-        templates.append(128.0 + contrast * _upsample_nearest(coarse, image_size))
+        templates.append(128.0 + _BLOB_CONTRAST * _upsample_nearest(coarse, image_size))
 
     def draw(count_per_class: int):
         # one class's float64 samples at a time, in one buffer made once and
         # after the images: fresh buffers per class, or one below the images
         # in the heap, stay resident once freed and raise the peak RSS
-        images = np.empty((classes, count_per_class, channels, image_size, image_size), np.float32)
+        images = np.empty((_BLOB_CLASSES, count_per_class, channels, image_size, image_size),
+                          np.float32)
         z = np.empty(images.shape[1:])
-        for cls in range(classes):
-            np.add(np.multiply(rng.standard_normal(out=z), noise, out=z), templates[cls], out=z)
-            np.clip(np.rint(z, out=z), 0.0, 255.0, out=images[cls])
+        for template, out in zip(templates, images):
+            np.add(np.multiply(rng.standard_normal(out=z), _BLOB_NOISE, out=z), template, out=z)
+            np.clip(np.rint(z, out=z), 0.0, 255.0, out=out)
         del z
         # each class fills one block of images, so an index's block is its label
-        order = rng.permutation(classes * count_per_class)
+        order = rng.permutation(_BLOB_CLASSES * count_per_class)
         return ArrayDataset(images.reshape(-1, *images.shape[2:])[order], order // count_per_class)
 
-    return draw(n_train // classes), draw(n_val // classes)
+    return draw(n_train // _BLOB_CLASSES), draw(n_val // _BLOB_CLASSES)
 
 
 # -- published binary formats ----------------------------------------------
@@ -203,7 +215,9 @@ def load_cifar10(directory) -> tuple[ArrayDataset, ArrayDataset]:
 
 def load_dataset(name: str, path=None, seed: int = 0,
                  train_size: int = 1280, val_size: int = 320):
-    """Dispatch on the dataset name used in run configs."""
+    """Dispatch on the dataset name used in run configs, one of
+    ``DATASETS``.  The blobs datasets are generated from ``seed`` and the
+    sizes; the published ones are read from ``path``."""
     if name == "blobs32":
         return make_blobs(train_size, val_size, image_size=32, channels=3, seed=seed)
     if name == "blobs28":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, _conv_extent, _images_per_chunk, _patch_windows
+from .tensor import DomainError, ShapeError, _conv_extent, _images_per_chunk, _patch_windows
 from .quant import PactState, RescaleMode, rescale_scalar, weight_grid
 from .network import BN_EPS, BatchNorm2d, Pool
 
@@ -199,27 +199,12 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def load_model_state(model, tensors: dict[str, np.ndarray]) -> None:
-    """``model.load_state``, reporting tensors that do not fit the model (a
-    missing name or another shape), a clip level that is not positive (the
-    domain of ``pact_quantize``), a negative BN running variance, and an
-    all-zero weight of a layer whose scheme clamps it or of the classifier,
-    whose spread kappa0 divides by, as ``CheckpointError``.  The values are
-    checked before any is assigned, so an error leaves the model as it was."""
-    infos = model.linear_infos()
-    spread = {f"{i.name}.weight" for i in infos if i.layer.scheme is not None or i is infos[-1]}
-    for name, role, t in model.named_state():
-        # the value the slot would hold; a clip level the source lacks keeps its own
-        value = np.asarray(tensors.get(name, t.data), t.dtype)
-        if (role == "alpha" and np.any(value <= 0)) or (role == "bn_var" and np.any(value < 0)):
-            raise CheckpointError(f"tensor '{name}' holds {np.min(value)}: clip levels must be "
-                                  "positive and running variances non-negative")
-        # an empty weight of another shape is left for load_state to report
-        if name in spread and value.size and not np.any(value):
-            raise CheckpointError(f"tensor '{name}' is all zero; the weight "
-                                  "clamp and kappa0 need a nonzero entry")
+    """``model.load_state``, whose every rejection of a state (a tensor
+    that does not fit the model, or a value outside its domain) is
+    reported as ``CheckpointError``; the model is then left as it was."""
     try:
         model.load_state(tensors)
-    except (KeyError, ShapeError) as exc:
+    except (KeyError, ShapeError, DomainError) as exc:
         raise CheckpointError(exc.args[0]) from exc
 
 

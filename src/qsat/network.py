@@ -18,6 +18,12 @@ Presets:
 Linear layers carry no bias.  The first and last linear layers are kept at
 a minimum of 8 bits when weights are quantized unless uniform bit-widths
 are explicitly requested.
+
+Each rule has one home: ``build_preset`` checks the schemes it assigns,
+logging a warning for a clamped layer that no BN follows and that is not
+rescaled and for a quantized edge layer below ``MIN_EDGE_BITS``;
+``Model.load_state`` checks a state's names, shapes and values before it
+assigns any.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ __all__ = [
     "PRESETS",
     "build_preset",
     "linear_layer_count",
-    "validate_model",
     "MIN_EDGE_BITS",
 ]
 
@@ -398,33 +403,49 @@ class Model:
         return entries
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        """Assign tensor values by name.
+        """Assign tensor values by name: the one check of a model state.
 
         Clipping levels (role ``alpha``) absent from the source keep their
         fresh initialization: full-precision checkpoints have no activation
         quantizers, and finetuning them into a quantized configuration is
         the normal workflow.  Extra tensors in the source are ignored with
-        a warning; any other missing tensor is a ``KeyError``, and a tensor
-        of another shape than its slot a ``ShapeError``.  Either error
-        leaves the model as it was.
+        a warning.  Any other missing tensor is a ``KeyError``, and a tensor
+        of another shape than its slot a ``ShapeError``.  A clip level that
+        is not positive (the domain of ``pact_quantize``), a negative BN
+        running variance, and an all-zero weight of a layer whose scheme
+        clamps it or of the classifier, whose spread kappa0 divides by, are
+        a ``DomainError``; a NaN fails the first two.  Every tensor is
+        checked before any is assigned, so an error leaves the model as it
+        was.
         """
         entries = self.named_state()
-        names = [n for n, _, _ in entries]
-        missing = [n for n, role, _ in entries
-                   if n not in tensors and role != "alpha"]
+        names = {n for n, _, _ in entries}
+        missing = [n for n, role, _ in entries if n not in tensors and role != "alpha"]
         extra = [n for n in tensors if n not in names]
         if missing:
             raise KeyError(f"checkpoint does not match model: missing {missing}")
         if extra:
             log.warning("ignoring %d checkpoint tensors with no model slot: %s",
                         len(extra), extra)
-        loaded = [(name, owner, tensors[name]) for name, _, owner in entries if name in tensors]
-        for name, owner, arr in loaded:
-            if arr.shape != owner.shape:
-                raise ShapeError(f"tensor '{name}': checkpoint shape {arr.shape} vs "
+        infos = self.linear_infos()
+        spread = {f"{i.name}.weight" for i in infos if i.layer.scheme is not None or i is infos[-1]}
+        loaded = []
+        for name, role, owner in [e for e in entries if e[0] in tensors]:
+            if tensors[name].shape != owner.shape:
+                raise ShapeError(f"tensor '{name}': checkpoint shape {tensors[name].shape} vs "
                                  f"model shape {owner.shape}")
-        for _, owner, arr in loaded:
-            owner.data = arr.astype(owner.dtype)
+            value = tensors[name].astype(owner.dtype)
+            # written so that a NaN fails them
+            if ((role == "alpha" and not np.all(value > 0))
+                    or (role == "bn_var" and not np.all(value >= 0))):
+                raise DomainError(f"tensor '{name}' holds {np.min(value)}: clip levels must be "
+                                  "positive and running variances non-negative")
+            if name in spread and not np.any(value):
+                raise DomainError(f"tensor '{name}' is all zero; the weight "
+                                  "clamp and kappa0 need a nonzero entry")
+            loaded.append((owner, value))
+        for owner, value in loaded:
+            owner.data = value
 
     def pact_states(self) -> list[PactState]:
         return [m for _, m in self._named_modules() if isinstance(m, PactState)]
@@ -480,6 +501,12 @@ def build_preset(
     first/last layers are held at ``first_last_bits`` minimum (pass
     ``"uniform"`` to quantize them like every other layer).  A layer's
     ``layer_overrides`` entry sets its bits or rescale mode outright.
+
+    The two scheme rules are checked where each layer's scheme is
+    assigned, and a breach is logged as a warning, not raised, so that a
+    deliberately broken ablation still builds: a weight-clamped layer that
+    no BN follows and that is not rescaled, and a quantized first or last
+    layer below ``MIN_EDGE_BITS``.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset '{name}'; expected one of {PRESETS}")
@@ -557,34 +584,9 @@ def build_preset(
             # nothing follows the classifier, so it is rescaled too
             mode = RescaleMode.NONE if info.follows_bn else rescale
         info.layer.scheme = QuantScheme(bits=bits, rescale=mode, fan_out=info.layer.n_hat)
-
-    for msg in validate_model(model):
-        log.warning("%s: %s", name, msg)
+        if not info.follows_bn and mode is RescaleMode.NONE:
+            log.warning("%s: layer '%s' has no following BN and no rescale", name, info.name)
+        if info.index in edges and bits is not None and bits < MIN_EDGE_BITS:
+            log.warning("%s: %s linear layer '%s' quantized below %d bits (%d)", name,
+                        "first" if info.index == 0 else "last", info.name, MIN_EDGE_BITS, bits)
     return model
-
-
-def validate_model(model: Model) -> list[str]:
-    """Check structural rules; returns human-readable violation strings.
-
-    Violations are advisory (training proceeds) so deliberately broken
-    ablation configurations can still run; they surface in logs and in the
-    rule-check report.
-    """
-    out = []
-    infos = model.linear_infos()
-    for info in infos:
-        layer = info.layer
-        if layer.scheme is not None and not info.follows_bn:
-            if layer.scheme.rescale is RescaleMode.NONE:
-                out.append(
-                    f"layer '{info.name}' has no following BN and no rescale"
-                )
-    first, last = infos[0].layer, infos[-1].layer
-    for which, layer in (("first", first), ("last", last)):
-        scheme = layer.scheme
-        if scheme is not None and scheme.is_quantized and scheme.bits < MIN_EDGE_BITS:
-            out.append(
-                f"{which} linear layer '{layer.name}' quantized below "
-                f"{MIN_EDGE_BITS} bits ({scheme.bits})"
-            )
-    return out

@@ -21,7 +21,7 @@ import numpy as np
 from .tensor import DomainError, Tensor, _record, no_grad
 from .quant import PactBackward, RescaleMode
 from .network import build_preset, linear_layer_count, PRESETS
-from .data import ArrayDataset, Batch, DatasetError, load_dataset
+from .data import DATASETS, ArrayDataset, Batch, DatasetError, load_dataset
 from .deployment import load_model_state
 from . import diagnostics
 
@@ -86,6 +86,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset '{self.preset}'")
+        if self.dataset not in DATASETS:
+            raise ConfigError(f"unknown dataset '{self.dataset}'; expected one of {DATASETS}")
+        if self.dataset_path is not None and self.dataset.startswith("blobs"):
+            raise ConfigError(f"dataset '{self.dataset}' is generated and reads no dataset_path")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:

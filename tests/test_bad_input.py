@@ -33,6 +33,7 @@ from qsat.deployment import (
 )
 from qsat.network import build_preset
 from qsat.quant import RescaleMode
+from qsat.tensor import DomainError, ShapeError
 from qsat.training import ConfigError, parse_config
 
 FAST = settings(max_examples=150, deadline=None,
@@ -137,6 +138,47 @@ def test_model_edit_folds_as_its_file_reloads_or_raises_fold_error(tmp_path, blo
     again = load_folded(tmp_path / "folded.ckpt")
     images = np.random.default_rng(0).integers(0, 256, (3, 1, 28, 28)).astype(np.float32)
     assert np.array_equal(folded.forward_int(images), again.forward_int(images))
+
+
+STATE_NAMES = [name for name, _, _ in blobs28_model().named_state()]
+
+
+@FAST
+# states that a direct load once accepted
+@example(slot="block2.pact.alpha", edit=-1.0, at=0)
+@example(slot="block2.pact.alpha", edit=math.nan, at=0)
+@example(slot="block3.bn.running_var", edit=-5.0, at=0)
+@example(slot="block4.weight", edit="zero", at=0)
+@given(slot=st.sampled_from(STATE_NAMES),
+       edit=st.sampled_from([math.nan, -1.0, 0.0, -0.0, 3e38, "zero", "drop", "add", "reshape"]),
+       at=st.integers(0, 2**16))
+def test_state_edit_loads_or_leaves_the_model_as_it_was(slot, edit, at):
+    model = blobs28_model()
+    tensors = {name: t.data.copy() for name, _, t in model.named_state()}
+    if isinstance(edit, float):
+        tensors[slot].flat[at % tensors[slot].size] = edit
+    elif edit == "zero":
+        tensors[slot][...] = 0.0
+    elif edit == "drop":
+        del tensors[slot]
+    elif edit == "add":
+        tensors[f"{slot}.extra"] = tensors[slot]
+    else:
+        tensors[slot] = tensors[slot].reshape(1, -1)
+    before = [(name, t.data.tobytes()) for name, _, t in model.named_state()]
+    try:
+        model.load_state(tensors)
+    except (KeyError, ShapeError, DomainError):
+        assert [(name, t.data.tobytes()) for name, _, t in model.named_state()] == before
+        return
+    # a state that loads is held as given, and is one the state rules accept
+    for name, role, t in model.named_state():
+        if name in tensors:
+            assert t.data.tobytes() == tensors[name].tobytes()
+        assert role != "alpha" or np.all(t.data > 0)
+        assert role != "bn_var" or np.all(t.data >= 0)
+    infos = model.linear_infos()
+    assert all(np.any(i.layer.w.data) for i in infos if i.layer.scheme is not None or i is infos[-1])
 
 
 @FAST

@@ -116,15 +116,20 @@ class TestTrainCommand:
         assert "momentum" in err
         assert not (tmp_path / "x").exists()
 
-    def test_unknown_dataset_is_exit_three(self, tmp_path, tiny_config, capsys):
+    @pytest.mark.parametrize("dataset,extra,flags", [
+        ("imagenet", "", []),
+        ("blobs32", "dataset_path=/nonexistent/dir\n", []),
+        ("blobs28", "", ["--dataset", "/nonexistent/dir"]),
+    ], ids=["unknown", "blobs-with-dataset-path", "blobs-with-dataset-flag"])
+    def test_bad_dataset_config_is_exit_two(self, tmp_path, capsys, dataset, extra, flags):
         cfg_path = tmp_path / "d.cfg"
-        cfg_path.write_text(
-            TINY.format(bits="fp", act_bits="fp").replace("dataset=blobs32",
-                                                          "dataset=imagenet")
-        )
-        code, _, err = run_cli(capsys, "train", "--config", str(cfg_path),
+        cfg_path.write_text(TINY.format(bits="fp", act_bits="fp")
+                            .replace("dataset=blobs32", f"dataset={dataset}") + extra)
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg_path), *flags,
                                "--out", str(tmp_path / "x"))
-        assert code == 3
+        assert code == 2
+        assert "config error:" in err and "dataset" in err
+        assert not (tmp_path / "x").exists()
 
     def test_dataset_error_leaves_no_run_directory(self, tmp_path, capsys):
         # 64 validation images do not split evenly over blobs32's 10 classes

@@ -155,7 +155,7 @@ class TestCheckpointContainer:
             dep.load_model_state(model, state)
 
     @pytest.mark.parametrize("name,value", [
-        ("block2.pact.alpha", -1.0), ("block2.pact.alpha", 0.0),
+        ("block2.pact.alpha", -1.0), ("block2.pact.alpha", 0.0), ("block2.pact.alpha", np.nan),
         ("block3.bn.running_var", -5.0), ("block3.weight", 0.0), ("fc.weight", 0.0),
     ])
     def test_rejected_state_leaves_the_model_as_it_was(self, name, value):

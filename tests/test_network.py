@@ -15,7 +15,6 @@ from qsat.network import (
     PRESETS,
     build_preset,
     run_table,
-    validate_model,
 )
 from qsat import tensor as tensor_module
 from qsat.quant import PactBackward, PactState, QuantScheme, RescaleMode, pact_quantize
@@ -212,6 +211,13 @@ class TestPactSubsumesRelu:
         assert ops.count("relu") == 2
 
 
+def build_logged(caplog, name, **kwargs):
+    """The preset and the scheme warnings its build logged."""
+    with caplog.at_level(logging.WARNING, logger="qsat.network"):
+        model = build_preset(name, **kwargs)
+    return model, [r.getMessage() for r in caplog.records if r.name == "qsat.network"]
+
+
 class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
@@ -226,14 +232,14 @@ class TestPresets:
                    .astype(np.float32))
         assert model.forward(x, training=True).shape == (4, 10)
 
-    def test_convnet_bn_rescales_only_the_final_fc(self):
-        model = build_preset("convnet-bn", weight_bits="fp",
-                             rescale=RescaleMode.CONSTANT)
+    def test_convnet_bn_rescales_only_the_final_fc(self, caplog):
+        model, warnings = build_logged(caplog, "convnet-bn", weight_bits="fp",
+                                       rescale=RescaleMode.CONSTANT)
         infos = model.linear_infos()
         for info in infos[:-1]:
             assert info.layer.scheme.rescale is RescaleMode.NONE
         assert infos[-1].layer.scheme.rescale is RescaleMode.CONSTANT
-        assert validate_model(model) == []
+        assert warnings == []
 
     def test_nobn_tail_gets_rescale_by_default(self):
         model = build_preset("convnet-nobn-tail", weight_bits="fp",
@@ -242,39 +248,37 @@ class TestPresets:
         assert not tail.follows_bn
         assert tail.layer.scheme.rescale is RescaleMode.CONSTANT
 
-    def test_preresnet_with_fc_only_rescale_is_flagged(self):
-        model = build_preset(
-            "preresnet-toy", weight_bits="fp", rescale=RescaleMode.CONSTANT,
+    def test_preresnet_with_fc_only_rescale_is_flagged(self, caplog):
+        _, flags = build_logged(
+            caplog, "preresnet-toy", weight_bits="fp", rescale=RescaleMode.CONSTANT,
             layer_overrides={0: {"rescale": RescaleMode.NONE},
                              2: {"rescale": RescaleMode.NONE},
                              4: {"rescale": RescaleMode.NONE}},
         )
-        flags = validate_model(model)
         assert any("no following BN" in f for f in flags)
 
-    def test_clamp_without_rescale_is_flagged_on_nobn_tail(self):
-        model = build_preset("convnet-nobn-tail", weight_bits="fp",
-                             rescale=RescaleMode.NONE)
-        flags = validate_model(model)
+    def test_clamp_without_rescale_is_flagged_on_nobn_tail(self, caplog):
+        _, flags = build_logged(caplog, "convnet-nobn-tail", weight_bits="fp",
+                                rescale=RescaleMode.NONE)
         assert any("block6" in f for f in flags)
 
-    def test_first_and_last_layers_keep_eight_bits(self):
-        model = build_preset("convnet-bn", weight_bits=2, act_bits=2,
-                             rescale=RescaleMode.CONSTANT)
+    def test_first_and_last_layers_keep_eight_bits(self, caplog):
+        model, warnings = build_logged(caplog, "convnet-bn", weight_bits=2, act_bits=2,
+                                       rescale=RescaleMode.CONSTANT)
         infos = model.linear_infos()
         assert infos[0].layer.scheme.bits == 8
         assert infos[-1].layer.scheme.bits == 8
         for info in infos[1:-1]:
             assert info.layer.scheme.bits == 2
-        assert validate_model(model) == []
+        assert warnings == []
 
-    def test_uniform_edge_bits_opt_in(self):
-        model = build_preset("convnet-bn", weight_bits=2, act_bits=2,
-                             first_last_bits="uniform")
+    def test_uniform_edge_bits_opt_in(self, caplog):
+        model, flags = build_logged(caplog, "convnet-bn", weight_bits=2, act_bits=2,
+                                    first_last_bits="uniform")
         infos = model.linear_infos()
         assert infos[0].layer.scheme.bits == 2
         assert infos[-1].layer.scheme.bits == 2
-        assert any("quantized below" in f for f in validate_model(model))
+        assert any("quantized below" in f for f in flags)
 
     def test_build_is_deterministic(self):
         a = build_preset("convnet-bn", seed=3)
