@@ -117,19 +117,13 @@ def _open_run(args):
 
 
 def cmd_train(args) -> int:
-    from . import deployment, training
+    from . import training
 
     cfg, ckpt = _open_run(args)
     out_dir = _resolve_out_dir(args.out or "run", args.force)
-    cfg_digest = training.config_hash(cfg)
-
-    def save_fn(model, path):
-        deployment.save_checkpoint(model, path, config_hash=cfg_digest)
-
     try:
         result = training.train(
             cfg, out_dir=out_dir, init_state=None if ckpt is None else ckpt.tensors,
-            save_checkpoint_fn=save_fn,
         )
     except training.DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
@@ -205,17 +199,16 @@ def cmd_study(args) -> int:
         rows = diagnostics.clamp_variance_study(
             (10, 100, 1000, 10000), seed=args.seed
         )
-        header = "n,ratio"
+        header = ("n", "ratio")
         path = out_dir / "clamp_var.csv"
     else:
         rows = diagnostics.quant_variance_study(
             range(1, 9), seed=args.seed
         )
-        header = "bits,ratio"
+        header = ("bits", "ratio")
         path = out_dir / "quant_var.csv"
-    lines = [header] + [f"{x},{ratio!r}" for x, ratio in rows]
     out_dir.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(diagnostics.csv_text(header, rows))
     _emit({"command": "study", "status": "ok", "name": args.name, "csv": str(path)})
     return 0
 

@@ -321,8 +321,8 @@ class FoldedModel:
             ):
                 if not ok:
                     raise FoldError(f"layer '{layer.name}' {problem}")
-        for key in ("fc_in_scale", "logit_scale"):
-            if not math.isfinite(getattr(self, key)):
+        for key in ("fc_weight", "fc_in_scale", "logit_scale"):
+            if not np.all(np.isfinite(getattr(self, key))):
                 raise FoldError(f"{key} is not finite")
         for layer in self.layers:
             _layer_plan(layer, exact=True)  # the integer accumulators must stay exact

@@ -7,6 +7,9 @@ gradient-variance relation between adjacent linear layers (with and
 without batch normalization), read off two adjacent ``DiagnosticsRecord``
 rows.  Healthy training keeps kappa0 well below one and kappa1 of order
 one.
+
+Every CSV file qsat writes (the diagnostics rows, ``metrics.csv`` and the
+variance studies) goes through ``csv_text``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -32,15 +35,11 @@ __all__ = [
     "etr_check",
     "clamp_variance_study",
     "quant_variance_study",
+    "csv_text",
     "records_to_csv",
     "records_to_json",
     "CSV_COLUMNS",
 ]
-
-CSV_COLUMNS = (
-    "step", "layer", "n_in", "n_hat", "k_pool", "var_weight", "var_grad",
-    "kappa0", "kappa1", "kappa2", "alpha", "lr",
-)
 
 ETR1_PASS = 0.1
 ETR1_WARN = 1.0
@@ -67,6 +66,9 @@ class DiagnosticsRecord:
     kappa2: float | None
     alpha: float | None
     lr: float | None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def kappa0(var_weight_last: float, n_last: int, k_pool: float) -> float:
@@ -259,13 +261,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def records_to_csv(records: list[DiagnosticsRecord]) -> str:
+def csv_text(header, rows) -> str:
+    """A CSV file's text: the header, then one line per row, each value
+    formatted by ``_fmt``, every line ended by a newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([_fmt(getattr(r, c)) for c in CSV_COLUMNS])
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def records_to_csv(records: list[DiagnosticsRecord]) -> str:
+    return csv_text(CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
 
 
 def records_to_json(records: list[DiagnosticsRecord]) -> str:

@@ -28,6 +28,7 @@ assigns any.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass
 
@@ -40,6 +41,7 @@ from .tensor import (
     avg_pool2d,
     conv2d,
     matmul,
+    no_grad,
     relu,
     _record,
 )
@@ -65,7 +67,6 @@ __all__ = [
     "Model",
     "PRESETS",
     "build_preset",
-    "linear_layer_count",
     "MIN_EDGE_BITS",
 ]
 
@@ -87,8 +88,9 @@ class BatchNorm2d:
 
     Training mode normalizes with batch statistics (computed over the
     batch and spatial axes) and updates the running estimates; eval mode
-    applies the running statistics as a fixed affine map.  Batches of one
-    sample are rejected in training mode.  The running statistics are
+    applies the running statistics as a fixed affine map with no backward,
+    since an eval-mode forward goes on no tape (``run_table``).  Batches of
+    one sample are rejected in training mode.  The running statistics are
     ``Tensor``s that need no gradient, so they are model state like
     ``gamma`` and ``beta``; training assigns their ``.data``.
 
@@ -154,24 +156,14 @@ class BatchNorm2d:
 
     def _affine(self, x: Tensor) -> Tensor:
         """Eval mode: ``x * scale + shift`` from the running statistics, as
-        one per-channel affine op."""
+        one per-channel affine op with no backward."""
         n, h, w, c = x.shape
-        gamma, beta, mean = self.gamma, self.beta, self.running_mean.data
-        rows = x.data.reshape(n * h, w * c)
         inv = (1.0 / np.sqrt(self.running_var.data.astype(np.float64) + BN_EPS)).astype(x.dtype)
-        scale = gamma.data * inv
-        shift = beta.data - scale * mean
-        out = rows * np.tile(scale, w)
+        scale = self.gamma.data * inv
+        shift = self.beta.data - scale * self.running_mean.data
+        out = x.data.reshape(n * h, w * c) * np.tile(scale, w)
         out += np.tile(shift, w)
-
-        def backward(g):
-            g = g.reshape(rows.shape)
-            dbeta = _channel_sums(g, c)
-            dgamma = inv * (_channel_sums(g * rows, c) - mean * dbeta)
-            return ((g * np.tile(scale, w)).reshape(x.shape), dgamma, dbeta)
-
-        out = Tensor(out.reshape(x.shape))
-        return _record("batch_norm2d_eval", out, (x, gamma, beta), backward)
+        return Tensor(out.reshape(x.shape))
 
 
 class _WeightLayer:
@@ -295,23 +287,25 @@ def run_table(records: list[LayerRecord], x: Tensor, training: bool) -> Tensor:
     BN normalizes with batch statistics when ``training``; PACT runs
     through ``pact_quantize``; the dense layer takes its input flattened
     per sample; ``SKIP_ADD`` adds the activation kept at ``SKIP_KEEP`` to
-    the branch's output.
+    the branch's output.  An eval-mode forward (``training`` false) runs
+    under ``no_grad``, so it goes on no tape whatever its caller enables.
     """
     h, skip = x, None
-    for record in records:
-        for _, m in record.modules:
-            if isinstance(m, BatchNorm2d):
-                h = m(h, training)
-            elif isinstance(m, PactState):
-                h = pact_quantize(h, m)
-            elif isinstance(m, DenseLayer):
-                h = m(h.reshape((h.shape[0], -1)))
-            elif m is SKIP_KEEP:
-                skip = h
-            elif m is SKIP_ADD:
-                h = skip + h
-            else:  # a conv, a pool or a ReLU
-                h = m(h)
+    with contextlib.nullcontext() if training else no_grad():
+        for record in records:
+            for _, m in record.modules:
+                if isinstance(m, BatchNorm2d):
+                    h = m(h, training)
+                elif isinstance(m, PactState):
+                    h = pact_quantize(h, m)
+                elif isinstance(m, DenseLayer):
+                    h = m(h.reshape((h.shape[0], -1)))
+                elif m is SKIP_KEEP:
+                    skip = h
+                elif m is SKIP_ADD:
+                    h = skip + h
+                else:  # a conv, a pool or a ReLU
+                    h = m(h)
     return h
 
 
@@ -414,9 +408,9 @@ class Model:
         is not positive (the domain of ``pact_quantize``), a negative BN
         running variance, and an all-zero weight of a layer whose scheme
         clamps it or of the classifier, whose spread kappa0 divides by, are
-        a ``DomainError``; a NaN fails the first two.  Every tensor is
-        checked before any is assigned, so an error leaves the model as it
-        was.
+        a ``DomainError``, as is a NaN or infinite value of any role.  Every
+        tensor is checked before any is assigned, so an error leaves the
+        model as it was.
         """
         entries = self.named_state()
         names = {n for n, _, _ in entries}
@@ -435,7 +429,8 @@ class Model:
                 raise ShapeError(f"tensor '{name}': checkpoint shape {tensors[name].shape} vs "
                                  f"model shape {owner.shape}")
             value = tensors[name].astype(owner.dtype)
-            # written so that a NaN fails them
+            if not np.isfinite(value).all():
+                raise DomainError(f"tensor '{name}' holds a non-finite value")
             if ((role == "alpha" and not np.all(value > 0))
                     or (role == "bn_var" and not np.all(value >= 0))):
                 raise DomainError(f"tensor '{name}' holds {np.min(value)}: clip levels must be "
@@ -461,11 +456,6 @@ _POOL_PLANS = {
     32: {0: 2, 2: 2, 4: 2, 5: 4},   # 32 -> 16 -> 8 -> 4 -> 1
     28: {0: 2, 2: 2, 5: 7},         # 28 -> 14 -> 7 -> 1
 }
-
-
-def linear_layer_count(preset: str) -> int:
-    """Convs plus the FC that a preset builds; ``layer<i>`` indexes them."""
-    return len(_CONVNET_CHANNELS) + 1 if preset.startswith("convnet") else 6
 
 
 def _normalize_bits(bits) -> int | None | str:
@@ -521,7 +511,7 @@ def build_preset(
         """PACT under ``prefix``, or a ReLU where activations stay full
         precision: PACT's clip at zero already is the ReLU, in value and in
         gradient."""
-        if abits in ("raw", None):
+        if abits is None:
             return ("", relu)
         return (prefix, PactState.create(abits, pact_mode, dtype=dtype))
 

@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import DomainError, Tensor, _record, no_grad
+from .tensor import DomainError, Tensor, _record
 from .quant import PactBackward, RescaleMode
-from .network import build_preset, linear_layer_count, PRESETS
+from .network import build_preset, PRESETS
 from .data import DATASETS, ArrayDataset, Batch, DatasetError, load_dataset
-from .deployment import load_model_state
-from . import diagnostics
+from . import deployment, diagnostics
 
 __all__ = [
     "ConfigError",
@@ -61,14 +60,20 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """All knobs of one run; parsed from flat key=value config files."""
+    """All knobs of one run; parsed from flat key=value config files.
+
+    Every value is checked when the config is made.  A ``layer<i>`` index
+    is checked against the length of the preset's layer table, built with
+    raw weights (no scheme, no warning); that length does not depend on
+    the dataset, so a bad index fails before any dataset is read.
+    """
 
     preset: str
     dataset: str
     epochs: int
     batch_size: int
     bits: str                      # "raw" | "fp" | "1".."16" (weights)
-    act_bits: str = "fp"
+    act_bits: str = "fp"           # "fp" | "1".."16"
     rescale: str = "none"          # none | constant | stddev
     pact_mode: str = "cg"          # cg | legacy
     first_last_bits: str = "8"     # minimum edge bit-width, or "uniform"
@@ -98,12 +103,13 @@ class TrainConfig:
             raise ConfigError("base_lr must be positive")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ConfigError("warmup_epochs must satisfy 0 <= warmup < epochs")
-        for name in ("bits", "act_bits"):
-            if not _valid_bits(getattr(self, name), ("raw", "fp")):
-                raise ConfigError(f"{name} must be 'raw', 'fp', or an integer 1..16")
+        if not _valid_bits(self.bits, ("raw", "fp")):
+            raise ConfigError("bits must be 'raw', 'fp', or an integer 1..16")
+        if not _valid_bits(self.act_bits, ("fp",)):
+            raise ConfigError("act_bits must be 'fp' or an integer 1..16")
         if not _valid_bits(self.first_last_bits, ("uniform",)):
             raise ConfigError("first_last_bits must be 'uniform' or an integer 1..16")
-        n_linear = linear_layer_count(self.preset)
+        n_linear = len(build_preset(self.preset, weight_bits="raw").layer_table)
         for idx, override in self.layer_overrides.items():
             if not 0 <= idx < n_linear:
                 raise ConfigError(f"layer{idx}: preset '{self.preset}' has linear "
@@ -235,7 +241,7 @@ def open_model(cfg: TrainConfig, tensors: dict[str, np.ndarray] | None):
     train_set, val_set = load_splits(cfg)
     model = build_model_from_config(cfg, train_set.image_shape, class_count(train_set, val_set))
     if tensors is not None:
-        load_model_state(model, tensors)
+        deployment.load_model_state(model, tensors)
     return train_set, val_set, model
 
 
@@ -361,10 +367,10 @@ def accuracy(logits_fn, dataset: ArrayDataset, batch_size: int):
 
 
 def evaluate(model, dataset: ArrayDataset, batch_size: int = 128):
-    """Deterministic top-1/top-5 accuracy in eval mode (running BN stats)."""
-    with no_grad():
-        return accuracy(lambda images: model.forward(Tensor(images), training=False).data,
-                        dataset, batch_size)
+    """Deterministic top-1/top-5 accuracy in eval mode (running BN stats);
+    an eval-mode forward goes on no tape."""
+    return accuracy(lambda images: model.forward(Tensor(images), training=False).data,
+                    dataset, batch_size)
 
 
 # -- training loop --------------------------------------------------------------
@@ -379,13 +385,6 @@ class TrainResult:
     final_top5: float
 
 
-def _metrics_csv(rows) -> str:
-    lines = [",".join(METRICS_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def train(
     cfg: TrainConfig,
     out_dir=None,
@@ -396,9 +395,11 @@ def train(
 
     Quantized configs must supply ``init_state`` (tensors from a pretrained
     full-precision checkpoint).  When ``out_dir`` is given, metrics and
-    diagnostics files and a checkpoint are written there; the checkpoint is
-    refreshed at every epoch end whose model state is finite, so a
-    divergence abort keeps the last good state on disk, or none.
+    diagnostics files and ``checkpoint.ckpt`` are always written there; the
+    checkpoint is refreshed at every epoch end whose model state is finite,
+    so a divergence abort keeps the last good state on disk, or none.  It
+    is written by ``save_checkpoint_fn(model, path)`` when one is passed,
+    and otherwise by ``deployment.save_checkpoint`` with the config's hash.
     """
     if cfg.quantized and init_state is None:
         raise ConfigError(
@@ -420,6 +421,9 @@ def train(
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    if save_checkpoint_fn is None:
+        def save_checkpoint_fn(m, path):
+            deployment.save_checkpoint(m, path, config_hash=config_hash(cfg))
 
     metrics_rows = []
     records: list[diagnostics.DiagnosticsRecord] = []
@@ -491,7 +495,7 @@ def train(
                 "epoch %d: train top1 %.4f, val top1 %.4f, loss %.4f",
                 epoch, train_top1, val_top1, loss_sum / steps_per_epoch,
             )
-            if out_dir is not None and save_checkpoint_fn is not None:
+            if out_dir is not None:
                 # a finite loss can leave non-finite state (BN running
                 # statistics), which no loader accepts: keep the last file
                 for name, _, t in model.named_state():
@@ -500,7 +504,7 @@ def train(
                 save_checkpoint_fn(model, out_dir / "checkpoint.ckpt")
 
     if out_dir is not None:
-        (out_dir / "metrics.csv").write_text(_metrics_csv(metrics_rows))
+        (out_dir / "metrics.csv").write_text(diagnostics.csv_text(METRICS_COLUMNS, metrics_rows))
         (out_dir / "diagnostics.csv").write_text(
             diagnostics.records_to_csv(records)
         )

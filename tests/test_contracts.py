@@ -1,8 +1,8 @@
 """Literal pins of the model's layer lists: checkpoint (name, role) order,
 ``parameters()`` order and every ``LinearInfo`` field, for the three presets,
 each layer's quantization scheme under five build settings, the op names one
-training-mode forward puts on the tape, and the tensor engine's public
-names.
+training-mode forward puts on the tape (an eval-mode forward puts none), and
+the tensor engine's public names.
 
 Checkpoint order defines the payload order of every checkpoint file, and
 ``LinearInfo`` feeds the diagnostics rows and the folded walk, so these lists
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qsat import tensor
-from qsat.network import PRESETS, build_preset, linear_layer_count
+from qsat.network import PRESETS, build_preset
 from qsat.quant import RescaleMode
 
 CONVNET_BN_Q4_STATE = [
@@ -314,13 +314,6 @@ def test_layer_schemes(key):
     assert got == want
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-@pytest.mark.parametrize("size", [28, 32])
-def test_linear_layer_count_matches_the_table(preset, size):
-    model = build_preset(preset, image_size=size, weight_bits="fp")
-    assert linear_layer_count(preset) == len(model.layer_table)
-
-
 # the op names of one training-mode forward, one line per layer record, at
 # 32x32 images with constant rescale; 4-bit quantizes activations too
 FORWARD_TAPES = {
@@ -414,6 +407,20 @@ def test_forward_tape(preset, bits):
     assert [node.op for node in tensor._tape] == FORWARD_TAPES[preset, bits].split()
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+def test_eval_forward_goes_on_no_tape(preset):
+    """With gradients on, an eval-mode forward records nothing and gives
+    the bytes it gives under ``no_grad``."""
+    model = build_preset(preset, weight_bits=4, act_bits=4, rescale=RescaleMode.CONSTANT, seed=5)
+    images = np.random.default_rng(5).uniform(0, 255, (2, 3, 32, 32)).astype(np.float32)
+    with tensor.no_grad():
+        want = model.forward(tensor.Tensor(images), training=False).data
+    tensor._tape.clear()
+    got = model.forward(tensor.Tensor(images), training=False).data
+    assert tensor._tape == []
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("size, channels", [(32, 3), (28, 1)])
 @pytest.mark.parametrize("preset", PRESETS)
 def test_forward_activations_are_nhwc(preset, size, channels):
@@ -427,7 +434,7 @@ def test_forward_activations_are_nhwc(preset, size, channels):
     nodes = list(tensor._tape)
     convs = [node for node in nodes if node.op == "conv2d"]
     bns = [node for node in nodes if node.op == "batch_norm2d"]
-    assert len(convs) == linear_layer_count(preset) - 1 and bns
+    assert len(convs) == len(model.layer_table) - 1 and bns
     for node in convs:
         # every preset conv is 3x3 with stride 1 and pad 1: ho, wo = h, w
         x, w = node.parents

@@ -685,3 +685,15 @@ class TestExactIntegerGemm:
         with pytest.raises(dep.FoldError, match="2\\^53"):
             dep.FoldedModel(layers=[layer], fc_weight=np.ones((1, 1)),
                             fc_in_scale=1.0, logit_scale=1.0)
+
+    def test_non_finite_classifier_weight_rejected_in_memory(self):
+        ones = np.ones(1)
+        layer = dep.FoldedLayer(
+            name="one", weight_idx=np.ones((1, 1, 1, 1)), channel_sign=ones,
+            weight_levels=1, stride=1, pad=0, in_scale=1.0, in_levels=1,
+            offset=0 * ones, clip=ones, requant=ones, out_alpha=1.0,
+            out_levels=1, pool_k=1,
+        )
+        with pytest.raises(dep.FoldError, match="fc_weight is not finite"):
+            dep.FoldedModel(layers=[layer], fc_weight=np.full((1, 1), np.nan),
+                            fc_in_scale=1.0, logit_scale=1.0)

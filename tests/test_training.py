@@ -8,7 +8,8 @@ import pytest
 
 from conftest import finite_difference_check
 from qsat.data import ArrayDataset, Batch, DatasetError, load_dataset, make_blobs
-from qsat.network import build_preset
+from qsat.deployment import save_checkpoint
+from qsat.network import PRESETS, build_preset
 from qsat.quant import PactState, RescaleMode
 from qsat.tensor import DomainError, Tensor, no_grad
 from qsat.training import (
@@ -188,7 +189,7 @@ class TestConfigParsing:
             parse_config(self.GOOD + "\nwarmup_epochs=9")
 
     @pytest.mark.parametrize("line", [
-        "bits=0", "bits=17", "act_bits=0", "diag_every=0", "momentum=nan",
+        "bits=0", "bits=17", "act_bits=0", "act_bits=raw", "diag_every=0", "momentum=nan",
         "weight_decay=-1", "first_last_bits=abc", "layer99.bits=4",
         "train_size=-5", "val_size=0",
     ])
@@ -198,6 +199,14 @@ class TestConfigParsing:
                          if l.strip().split("=")[0] != key)
         with pytest.raises(ConfigError, match=key.split(".")[0]):
             parse_config(text + "\n" + line)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_layer_index_bounded_by_the_table(self, preset):
+        last = len(build_preset(preset).layer_table) - 1
+        text = self.GOOD.replace("convnet-bn", preset)
+        assert parse_config(text + f"\nlayer{last}.bits=4").layer_overrides == {last: {"bits": "4"}}
+        with pytest.raises(ConfigError, match=f"layer{last + 1}: preset '{preset}'"):
+            parse_config(text + f"\nlayer{last + 1}.bits=4")
 
     def test_layer_overrides(self):
         cfg = parse_config(self.GOOD + "\nlayer2.bits=8\nlayer2.rescale=stddev")
@@ -407,6 +416,12 @@ class TestTrainLoop:
     def test_quantized_training_requires_checkpoint(self):
         with pytest.raises(ConfigError, match="checkpoint"):
             train(tiny_cfg(bits="4", act_bits="4"))
+
+    def test_checkpoint_written_without_a_writer(self, tmp_path):
+        cfg = tiny_cfg(epochs=1)
+        result = train(cfg, out_dir=tmp_path)
+        save_checkpoint(result.model, tmp_path / "want.ckpt", config_hash=config_hash(cfg))
+        assert (tmp_path / "checkpoint.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
 
     def test_metrics_and_records_deterministic(self, tmp_path):
         a = train(tiny_cfg(), out_dir=tmp_path / "a")
