@@ -122,9 +122,8 @@ def cmd_train(args) -> int:
     cfg, ckpt = _open_run(args)
     out_dir = _resolve_out_dir(args.out or "run", args.force)
     try:
-        result = training.train(
-            cfg, out_dir=out_dir, init_state=None if ckpt is None else ckpt.tensors,
-        )
+        result = training.train(cfg, out_dir=out_dir,
+                                init_state=None if ckpt is None else ckpt.tensors)
     except training.DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         _emit({"command": "train", "status": "diverged", "out": str(out_dir)})

@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, astuple, fields
 
 import numpy as np
 
@@ -272,7 +272,7 @@ def csv_text(header, rows) -> str:
 
 
 def records_to_csv(records: list[DiagnosticsRecord]) -> str:
-    return csv_text(CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in records))
+    return csv_text(CSV_COLUMNS, map(astuple, records))
 
 
 def records_to_json(records: list[DiagnosticsRecord]) -> str:
