@@ -9,7 +9,10 @@ into per-channel bias offsets and clip levels of the following quantized
 activation, yielding an inference path that carries activations as integer
 grid indices with one real-valued rescale per layer.  It applies only to
 plain chains of quantized conv -> BN -> clipped activation; residual
-models are rejected.
+models are rejected.  The integer path's rescale and rounding are those
+of float64; a layer runs them in float32 where the folded model's check,
+made once when the model is made, proves that gives the same integers
+(``_layer_plan``).
 
 The folded paths lower their convolutions on their own, through
 ``tensor._patch_windows``, with patch-row columns in (ki, kj, c) order as
@@ -277,7 +280,12 @@ class FoldedLayer:
 class FoldedModel:
     """A chain of folded layers and a float classifier on the last one's
     integer output, checked once, when it is made (``__post_init__``),
-    whether ``fold_bn`` made it or ``load_folded`` read it."""
+    whether ``fold_bn`` made it or ``load_folded`` read it.
+
+    The check builds each layer's exact-path plan (``_layer_plan``), and
+    ``forward_int`` runs those plans, so a model runs the layers it was
+    checked with: to edit a layer, make a new model from the edited
+    layers (``dataclasses.replace(model)``), which checks and plans them."""
 
     layers: list
     fc_weight: np.ndarray
@@ -324,8 +332,8 @@ class FoldedModel:
         for key in ("fc_weight", "fc_in_scale", "logit_scale"):
             if not np.all(np.isfinite(getattr(self, key))):
                 raise FoldError(f"{key} is not finite")
-        for layer in self.layers:
-            _layer_plan(layer, exact=True)  # the integer accumulators must stay exact
+        # the integer accumulators must stay exact; forward_int runs these plans
+        self._plans = [_layer_plan(layer, exact=True) for layer in self.layers]
 
     def forward_float(self, images: np.ndarray, return_margin: bool = False):
         """Folded forward in float64: exact algebra of the folded form.
@@ -350,9 +358,12 @@ class FoldedModel:
         summation order.  Each level is clipped at 0 before the rescale and
         at the top after the rounding, by a per-channel cap that is the
         rounded clip; that equals clipping before the rescale, because the
-        float64 rounding is monotone (``_layer_plan``).  The last layer's
-        positive rescale factor is dropped, which leaves the logit argmax
-        unchanged.
+        float64 rounding is monotone (``_layer_plan``).  A layer rescales
+        and rounds in float32 where the model's check proved that gives the
+        float64 result for every accumulator the layer can make, and in
+        float64 otherwise.  The layers run the plans the check made.  The
+        last layer's positive rescale factor is dropped, which leaves the
+        logit argmax unchanged.
         """
         x = np.rint(images)
         # written so that a NaN pixel fails it
@@ -397,31 +408,35 @@ class FoldedModel:
         fan-in times ``in_levels`` stays below 2^29 the float64 partial sums
         over integer activations are exact too.  So on both paths neither
         the ranges nor the column order change a bit.  The epilogue adds
-        the offset and clips at 0 in the GEMM's buffer, then scales into a
-        float64 buffer, rounds, and applies the cap; only the float path
-        clips at the top before it scales (``_layer_plan``).
+        the offset and clips at 0 in the GEMM's buffer, then scales, adds
+        the rounding half, rounds, and applies the cap in the plan's
+        epilogue dtype: in place when that is the GEMM's dtype, and in a
+        float64 buffer after a float32 GEMM otherwise.  Only the float path
+        clips at the top before it scales (``_layer_plan``).  A pooled
+        layer sums its windows from that buffer.
         """
         batch = len(x)
         margin = np.full(batch, np.inf)
         x = x.transpose(0, 2, 3, 1)
-        plans = [_layer_plan(layer, exact) for layer in self.layers]
+        plans = self._plans if exact else [_layer_plan(layer, False) for layer in self.layers]
         out_dtypes = [plan[0] for plan in plans[1:]] + [np.float64]
         for layer, plan, out_dtype in zip(self.layers, plans, out_dtypes):
-            dtype, wmat, offset, clip, requant, cap = plan
+            dtype, wmat, offset, clip, requant, half, cap = plan
             _, h, w, c = x.shape
             co, k, p = wmat.shape[1], layer.weight_idx.shape[-1], layer.pool_k
             ho, wo, hp, wp = _conv_extent(h, w, k, layer.stride, layer.pad)
             step = max(1, min(batch, _images_per_chunk(ho * wo * c * k * k * np.dtype(dtype).itemsize)))
             # the epilogue sees (rows, wo * co) views with the per-channel
             # vectors tiled wo times, so numpy's inner loops are long
-            offset, clip, requant, cap = (np.tile(v, wo) for v in (offset, clip, requant, cap))
+            offset, clip, requant, half, cap = (np.tile(v, wo)
+                                                for v in (offset, clip, requant, half, cap))
             col = np.empty((step, ho, wo, k, k * c), dtype)
             padded = np.zeros((step, hp, wp, c), dtype)
             inner = padded[:, layer.pad : layer.pad + h, layer.pad : layer.pad + w]
             windows = _patch_windows(padded, k, layer.stride)
-            gemm, scaled = np.empty((step * ho, wo * co), dtype), np.empty((step * ho, wo * co))
+            gemm = np.empty((step * ho, wo * co), dtype)
+            scaled = gemm if requant.dtype == dtype else np.empty(gemm.shape, requant.dtype)
             out = np.empty((batch, ho // p, wo // p, co), out_dtype)
-            pre = np.empty((step, ho, wo, co), out_dtype) if p > 1 else None
             for s in range(0, batch, step):
                 m = min(step, batch - s)
                 g, a, dst = gemm[: m * ho], scaled[: m * ho], out[s : s + m]
@@ -438,11 +453,11 @@ class FoldedModel:
                 if not exact:
                     frac = np.abs(a - np.floor(a) - 0.5).reshape(m, -1)
                     np.minimum(margin[s : s + m], frac.min(axis=1), out=margin[s : s + m])
-                a += 0.5
+                a += half
                 np.floor(a, out=a)
-                np.minimum(a, cap, out=(dst if p == 1 else pre[:m]).reshape(a.shape))
+                np.minimum(a, cap, out=a if p > 1 else dst.reshape(a.shape))
                 if p > 1:
-                    win = pre[:m].reshape(m, ho // p, p, wo // p, p, co)
+                    win = a.reshape(m, ho // p, p, wo // p, p, co)
                     np.copyto(dst, win[:, :, 0, :, 0])
                     for t in range(1, p * p):
                         dst += win[:, :, t // p, :, t % p]
@@ -454,16 +469,16 @@ class FoldedModel:
 def _layer_plan(layer: FoldedLayer, exact: bool):
     """One layer's GEMM dtype, (k*k*c, co) weight matrix with rows in
     ``_patch_windows``' (ki, kj, c) order, offset vector in the GEMM dtype,
-    and float64 clip, requant and cap vectors, on the exact or the float
-    path.
+    float64 clip vector, and requant, rounding-half and cap vectors in the
+    epilogue's dtype, on the exact or the float path.
 
     On the exact path no partial sum exceeds B, the largest per-channel sum
     of |signed weight| times ``in_levels``, in any summation order, and the
-    accumulator plus its rounded offset stays within B plus the largest
-    offset.  The GEMM runs in float32 when that sum is below 2^24 and in
-    float64 otherwise, which holds every integer below 2^53, so the offset
-    add and the clip at 0 are exact in the GEMM's own dtype; past 2^53 the
-    layer cannot run.
+    accumulator plus its rounded offset stays within W, B plus the largest
+    offset.  The GEMM runs in float32 when W is below 2^24 and in float64
+    otherwise, which holds every integer below 2^53, so the offset add and
+    the clip at 0 are exact in the GEMM's own dtype; past 2^53 the layer
+    cannot run.
 
     The weight operands come from ``weight_idx`` and ``channel_sign``: on
     the exact path the signed integers 2 * idx - levels, which float64
@@ -477,8 +492,24 @@ def _layer_plan(layer: FoldedLayer, exact: bool):
     or ``out_levels`` where that is lower, so one minimum applies both.
     The float path clips before it scales, since its margin reads the
     clipped argument; its cap is ``out_levels``.
+
+    So each channel of the exact path maps v, an integer in 0..W, to
+    E(v) = min(f(v), cap).  After a float32 GEMM with ``out_levels`` up to
+    255 (the 8-bit activation grid, which bounds the check's cost), the
+    epilogue runs in float32 instead wherever ``_float32_rounding`` finds
+    a float32 multiplier m >= 0 and half b > 0 for which F(v) =
+    min(floor(fl32(fl32(v * m) + b)), cap) equals E(v) on all of 0..W.
+    Both maps are monotone, as each float op is, so they agree everywhere
+    once they agree on each threshold t_j, the least v with E(v) >= j,
+    for j = 1..E(W): F(t_j) >= j and F(t_j - 1) <= j - 1, and at the top,
+    F(W) <= E(W).  For then an integer v with E(v) = e lies in [t_e, t_(e+1)
+    - 1] (up to W when e = E(W)), where F is at least e and at most e; and
+    where E(v) <= 0 both maps are min(0, cap), as both rounded terms are
+    >= 0.  A layer where some channel has no such pair keeps the float64
+    epilogue.
     """
     sign = layer.channel_sign.reshape(-1, 1, 1, 1)
+    half, epilogue = np.full(len(layer.requant), 0.5), np.float64
     if not exact:
         weights, dtype = _grid_values(layer.weight_idx, layer.weight_levels) * sign, np.float64
         offset, clip, requant = layer.offset, layer.clip, layer.requant * layer.weight_levels
@@ -496,9 +527,45 @@ def _layer_plan(layer: FoldedLayer, exact: bool):
             )
         dtype = np.float32 if worst < 2**24 else np.float64
         cap = np.minimum(np.floor(clip * requant + 0.5), layer.out_levels)
+        found = (_float32_rounding(requant, cap, worst)
+                 if dtype == np.float32 and layer.out_levels <= 255 else None)
+        if found is not None:
+            (requant, half), epilogue = found, np.float32
     wmat = weights.transpose(0, 2, 3, 1).reshape(len(weights), -1).T.astype(dtype)
-    return (dtype, wmat, np.asarray(offset, dtype=dtype),
-            *(np.asarray(v, dtype=np.float64) for v in (clip, requant, cap)))
+    return (dtype, wmat, np.asarray(offset, dtype=dtype), np.asarray(clip, dtype=np.float64),
+            *(np.asarray(v, dtype=epilogue) for v in (requant, half, cap)))
+
+
+def _float32_rounding(requant: np.ndarray, cap: np.ndarray, worst: int):
+    """Per-channel float32 (multiplier, half) vectors for which the float32
+    epilogue gives the float64 one's result on every integer in 0..worst,
+    or None where some channel has none (proof in ``_layer_plan``).
+
+    Each channel takes the first pair that passes, of fl32(requant) and
+    its two float32 neighbours times 0.5 and its two.  Each threshold is
+    found among five integers around its estimate, with the epilogue's own
+    float64 ops, and kept only where it proves to be the least; a pair
+    must also keep fl32(fl32(worst * m) + b) finite, so that no forward
+    overflows.  That is at most 9 x channels x 255 evaluations.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        near = lambda x: [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+        ms = np.repeat(near(requant.astype(np.float32)), 3, axis=0)[..., None]
+        bs = np.tile(near(np.full(len(requant), np.float32(0.5))), (3, 1))[..., None]
+        r, cap = requant[:, None], cap[:, None]
+        exact = lambda v: np.minimum(np.floor(v * r + 0.5), cap)
+        rounded = lambda v: np.minimum(np.floor(np.float32(v) * ms + bs), np.float32(cap))
+        j, top = np.arange(1.0, cap.max() + 1), exact(float(worst))
+        t = np.clip(np.ceil((j - 0.5) / r) - 2, 0, worst)
+        t += sum(exact(t + i) < j for i in range(5))
+        # level j of a channel, up to E(worst), steps up at t under the map f
+        steps_at_t = lambda f: (j > top) | ((f(t) >= j) & ((t == 0) | (f(t - 1) < j)))
+        ok = ((ms >= 0) & np.isfinite(np.float32(worst) * ms + bs) & (rounded(worst) <= top)
+              & np.all(steps_at_t(exact) & steps_at_t(rounded), axis=-1, keepdims=True))[..., 0]
+    if not ok.any(axis=0).all():
+        return None
+    pick = (ok.argmax(axis=0), np.arange(len(requant)), 0)
+    return ms[pick], bs[pick]
 
 
 def _weight_grid_indices(layer) -> tuple[np.ndarray, int, float]:

@@ -396,8 +396,11 @@ def train(
     Quantized configs must supply ``init_state`` (tensors from a pretrained
     full-precision checkpoint).  When ``out_dir`` is given, metrics and
     diagnostics files and ``checkpoint.ckpt`` are always written there; the
-    checkpoint is refreshed at every epoch end whose model state is finite,
-    so a divergence abort keeps the last good state on disk, or none.  It
+    metrics and diagnostics are written when the epoch loop ends, also when
+    it raises, so a divergence abort leaves the rows and records of what
+    ran.  The checkpoint is refreshed at every epoch end whose model state
+    is finite, so a divergence abort keeps the last good state on disk, or
+    none.  It
     is written by ``save_checkpoint_fn(model, path)`` when one is passed,
     and otherwise by ``deployment.save_checkpoint`` with the config's hash.
     """
@@ -436,81 +439,81 @@ def train(
         log.warning("floating-point error (%s) at epoch %d step %d; later ones "
                     "in this run are not logged", kind, epoch, step)
 
-    with np.errstate(over="call", invalid="call", divide="call", call=on_float_error):
-        for epoch in range(cfg.epochs):
-            order = data_rng.permutation(len(train_set))
-            flips = (
-                data_rng.random(len(train_set)) < 0.5
-                if flip_augment
-                else np.zeros(len(train_set), dtype=bool)
-            )
-            loss_sum = 0.0
-            hit1 = hit5 = seen = 0
-            lr = 0.0
-            for b in range(steps_per_epoch):
-                idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                # an index array gathers a copy, which the flip may write into
-                images = train_set.images[idx]
-                flip_mask = flips[idx]
-                if flip_mask.any():
-                    images[flip_mask] = images[flip_mask][..., ::-1]
-                batch = Batch(images, train_set.labels[idx])
+    # a run that raises (a divergence among them) still leaves its metrics
+    # and diagnostics so far on disk
+    try:
+        with np.errstate(over="call", invalid="call", divide="call", call=on_float_error):
+            for epoch in range(cfg.epochs):
+                order = data_rng.permutation(len(train_set))
+                flips = (
+                    data_rng.random(len(train_set)) < 0.5
+                    if flip_augment
+                    else np.zeros(len(train_set), dtype=bool)
+                )
+                loss_sum = 0.0
+                hit1 = hit5 = seen = 0
+                lr = 0.0
+                for b in range(steps_per_epoch):
+                    idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                    # an index array gathers a copy, which the flip may write into
+                    images = train_set.images[idx]
+                    flip_mask = flips[idx]
+                    if flip_mask.any():
+                        images[flip_mask] = images[flip_mask][..., ::-1]
+                    batch = Batch(images, train_set.labels[idx])
 
-                opt.zero_grad()
-                logits = model.forward(Tensor(batch.images), training=True)
-                loss = cross_entropy(logits, batch.labels)
-                loss_value = loss.item()
-                if not math.isfinite(loss_value):
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch} step {step}"
-                    )
-                loss.backward()
+                    opt.zero_grad()
+                    logits = model.forward(Tensor(batch.images), training=True)
+                    loss = cross_entropy(logits, batch.labels)
+                    loss_value = loss.item()
+                    if not math.isfinite(loss_value):
+                        raise DivergenceError(
+                            f"non-finite loss at epoch {epoch} step {step}"
+                        )
+                    loss.backward()
 
-                lr = lr_schedule(step, total_steps, warmup_steps, cfg.peak_lr)
-                if step % cfg.diag_every == 0 or b == 0 or b == steps_per_epoch - 1:
-                    records.extend(diagnostics.collect_records(model, step, lr))
+                    lr = lr_schedule(step, total_steps, warmup_steps, cfg.peak_lr)
+                    if step % cfg.diag_every == 0 or b == 0 or b == steps_per_epoch - 1:
+                        records.extend(diagnostics.collect_records(model, step, lr))
 
-                opt.step(lr)
-                for state in model.pact_states():
-                    state.clamp_alpha()
+                    opt.step(lr)
+                    for state in model.pact_states():
+                        state.clamp_alpha()
 
-                loss_sum += loss_value
-                pred = logits.data.argmax(axis=1)
-                hit1 += int(np.sum(pred == batch.labels))
-                hit5 += _topk_hits(logits.data, batch.labels, 5)
-                seen += len(batch.labels)
-                step += 1
+                    loss_sum += loss_value
+                    pred = logits.data.argmax(axis=1)
+                    hit1 += int(np.sum(pred == batch.labels))
+                    hit5 += _topk_hits(logits.data, batch.labels, 5)
+                    seen += len(batch.labels)
+                    step += 1
 
-            train_top1 = hit1 / seen
-            train_top5 = hit5 / seen
-            val_top1, val_top5 = evaluate(model, val_set, batch_size=cfg.batch_size)
-            metrics_rows.append(
-                (epoch, "train", f"{train_top1:.6f}", f"{train_top5:.6f}",
-                 f"{loss_sum / steps_per_epoch:.6f}", f"{lr:.8f}")
-            )
-            metrics_rows.append(
-                (epoch, "val", f"{val_top1:.6f}", f"{val_top5:.6f}", "", f"{lr:.8f}")
-            )
-            log.info(
-                "epoch %d: train top1 %.4f, val top1 %.4f, loss %.4f",
-                epoch, train_top1, val_top1, loss_sum / steps_per_epoch,
-            )
-            if out_dir is not None:
-                # a finite loss can leave non-finite state (BN running
-                # statistics), which no loader accepts: keep the last file
-                for name, _, t in model.named_state():
-                    if not np.isfinite(t.data).all():
-                        raise DivergenceError(f"non-finite {name} at epoch {epoch}")
-                save_checkpoint_fn(model, out_dir / "checkpoint.ckpt")
-
-    if out_dir is not None:
-        (out_dir / "metrics.csv").write_text(diagnostics.csv_text(METRICS_COLUMNS, metrics_rows))
-        (out_dir / "diagnostics.csv").write_text(
-            diagnostics.records_to_csv(records)
-        )
-        (out_dir / "diagnostics.json").write_text(
-            diagnostics.records_to_json(records)
-        )
+                train_top1 = hit1 / seen
+                train_top5 = hit5 / seen
+                val_top1, val_top5 = evaluate(model, val_set, batch_size=cfg.batch_size)
+                metrics_rows.append(
+                    (epoch, "train", f"{train_top1:.6f}", f"{train_top5:.6f}",
+                     f"{loss_sum / steps_per_epoch:.6f}", f"{lr:.8f}")
+                )
+                metrics_rows.append(
+                    (epoch, "val", f"{val_top1:.6f}", f"{val_top5:.6f}", "", f"{lr:.8f}")
+                )
+                log.info(
+                    "epoch %d: train top1 %.4f, val top1 %.4f, loss %.4f",
+                    epoch, train_top1, val_top1, loss_sum / steps_per_epoch,
+                )
+                if out_dir is not None:
+                    # a finite loss can leave non-finite state (BN running
+                    # statistics), which no loader accepts: keep the last file
+                    for name, _, t in model.named_state():
+                        if not np.isfinite(t.data).all():
+                            raise DivergenceError(f"non-finite {name} at epoch {epoch}")
+                    save_checkpoint_fn(model, out_dir / "checkpoint.ckpt")
+    finally:
+        if out_dir is not None:
+            (out_dir / "metrics.csv").write_text(
+                diagnostics.csv_text(METRICS_COLUMNS, metrics_rows))
+            (out_dir / "diagnostics.csv").write_text(diagnostics.records_to_csv(records))
+            (out_dir / "diagnostics.json").write_text(diagnostics.records_to_json(records))
 
     return TrainResult(
         model=model,

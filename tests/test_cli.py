@@ -1,10 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from conftest import write_cifar, write_idx, write_mnist
 
 from qsat.cli import main
+from qsat.diagnostics import CSV_COLUMNS
+from qsat.training import METRICS_COLUMNS
 
 
 TINY = """
@@ -88,6 +91,14 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(out))
         assert code == 4
         assert "training diverged" in err
+        # epoch 0 ran all its steps, so its rows and records stay on disk
+        assert re.search(r"non-finite \S+\.running_var at epoch 0\b", err)
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        assert header == ",".join(METRICS_COLUMNS)
+        assert [row.split(",")[:2] for row in rows] == [["0", "train"], ["0", "val"]]
+        header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert header == ",".join(CSV_COLUMNS) and rows
+        assert json.loads((out / "diagnostics.json").read_text())
         ckpt = out / "checkpoint.ckpt"
         if ckpt.exists():
             code, _, err = run_cli(capsys, "eval", "--config", str(cfg), "--init", str(ckpt))

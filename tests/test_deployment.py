@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -301,6 +303,8 @@ class TestIntegerForward:
             layer.offset[...] = np.rint(layer.offset)
             layer.clip[...] = np.rint(np.maximum(layer.clip, 1.0))
             layer.requant[...] = 2.0 ** np.floor(np.log2(layer.requant))
+        # a model runs the layers it was checked with: check the edited ones
+        folded = dataclasses.replace(folded)
         rng = np.random.default_rng(180)
         images = rng.integers(0, 256, size=(8, 3, 32, 32)).astype(np.float32)
         via_int = folded.forward_int(images).astype(np.float64)
@@ -354,6 +358,15 @@ class TestIntegerForward:
             layer.in_scale, layer.out_alpha = 123.0, -7.0
         after = (folded.forward_int(images), *folded.forward_float(images, return_margin=True))
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_forward_int_runs_the_plans_made_at_construction(self, monkeypatch):
+        folded = dep.fold_bn(trained_quant_model(seed=27, steps=1))
+        images = np.random.default_rng(270).integers(0, 256, size=(3, 3, 32, 32)).astype(np.float32)
+        calls = []
+        plan = dep._layer_plan
+        monkeypatch.setattr(dep, "_layer_plan", lambda *args: calls.append(args) or plan(*args))
+        folded.forward_int(images)
+        assert calls == []
 
 
 class TestFoldedContainer:
@@ -567,8 +580,9 @@ LAYER_SPEC = st.fixed_dictionaries({
     "co": st.integers(1, 4),
     "levels": st.integers(1, 255),
     # up to the accumulator's own range, so that requant factors near 1
-    # pass a unit error in any partial sum through to the output
-    "out_levels": st.integers(1, 2**24),
+    # pass a unit error in any partial sum through to the output, and as
+    # often up to 255, where the epilogue may run in float32
+    "out_levels": st.integers(1, 255) | st.integers(1, 2**24),
 })
 WIDE = {"k": 3, "stride": 1, "pad": 1, "pool": 1, "co": 3, "levels": 255, "out_levels": 2**24}
 
@@ -600,6 +614,14 @@ class TestExactIntegerGemm:
     # the columns between its output positions, and the pad border enters
     @example(seed=3, in_levels=255, specs=[dict(WIDE, stride=2)] * 2, size=2, batch=6,
              per_range=2)
+    # a pooled layer with a float32 epilogue, an unpooled one, and a float64
+    # epilogue (no float32 rounding passes at 255 levels) feeding a float32 one
+    @example(seed=4, in_levels=255, specs=[dict(WIDE, pool=2, out_levels=255)], size=2,
+             batch=5, per_range=2)
+    @example(seed=5, in_levels=255, specs=[dict(WIDE, out_levels=15)], size=2, batch=7,
+             per_range=3)
+    @example(seed=6, in_levels=255, specs=[dict(WIDE, out_levels=255), dict(WIDE, out_levels=15)],
+             size=2, batch=6, per_range=2)
     def test_forward_int_equals_int64_oracle(self, seed, in_levels, specs, size, batch,
                                              per_range):
         rng = np.random.default_rng(seed)
@@ -697,3 +719,85 @@ class TestExactIntegerGemm:
         with pytest.raises(dep.FoldError, match="fc_weight is not finite"):
             dep.FoldedModel(layers=[layer], fc_weight=np.full((1, 1), np.nan),
                             fc_in_scale=1.0, logit_scale=1.0)
+
+
+# -- float32 requantization --------------------------------------------------------
+
+
+def requant_case(seed, single, co, levels, bound):
+    """Per-channel requant factors and caps of a layer whose accumulators
+    reach ``bound``: float32 values, as ``fold_bn`` writes them, when
+    ``single``, and otherwise any float64, as ``random_folded`` draws them."""
+    rng = np.random.default_rng(seed)
+    clip = np.rint(rng.uniform(0.05, 1.2, co) * bound)
+    requant = levels * rng.uniform(0.5, 2.0, co) / np.maximum(clip, 1.0)
+    if single:
+        requant = requant.astype(np.float32).astype(np.float64)
+    return requant, np.minimum(np.floor(clip * requant + 0.5), levels)
+
+
+def assert_float32_rounding_exact(requant, cap, bound):
+    """Unless ``_float32_rounding`` falls back, its float32 epilogue gives
+    the float64 one's level on every accumulator in 0..bound; returns what
+    it found."""
+    found = dep._float32_rounding(requant, cap, bound)
+    if found is None:
+        return None
+    m, b = found
+    assert m.dtype == b.dtype == np.float32
+    v = np.arange(bound + 1.0)[:, None]
+    want = np.minimum(np.floor(v * requant + 0.5), cap)
+    got = np.minimum(np.floor(v.astype(np.float32) * m + b), cap.astype(np.float32))
+    assert np.array_equal(got, want)
+    return found
+
+
+# a float32 requant factor for which none of the nine float32 roundings
+# gives the float64 one's levels on 0..2^16 at 255 levels (seed 154)
+NO_FLOAT32_ROUNDING = 0.008032049052417278
+
+
+class TestFloat32Rounding:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), single=st.booleans(), co=st.integers(1, 4),
+           levels=st.integers(1, 255), bound=st.integers(1, 2**16))
+    @example(seed=154, single=True, co=1, levels=255, bound=2**16)  # falls back
+    @example(seed=369, single=False, co=1, levels=255, bound=2**16)  # falls back
+    # fl32(requant) with a half of 0.5 is wrong on some accumulator, and a
+    # neighbouring pair is right on all
+    @example(seed=5, single=False, co=1, levels=255, bound=2**16)
+    @example(seed=52, single=True, co=1, levels=255, bound=2**16)
+    def test_accepted_rounding_equals_float64_on_every_accumulator(self, seed, single, co,
+                                                                   levels, bound):
+        assert_float32_rounding_exact(*requant_case(seed, single, co, levels, bound), bound)
+
+    def test_top_of_the_range_is_checked(self):
+        # 2^16 * requant + 0.5 is just below 100 in float64, and exactly 100
+        # with fl32(requant), a multiple of 2^-17; no threshold below the
+        # top tells the two apart, and the next float32 below it is exact
+        requant = np.array([99.5 / 2**16 - 2.0**-60])
+        assert np.float32(requant[0]) * np.float32(2**16) + np.float32(0.5) == 100
+        assert assert_float32_rounding_exact(requant, np.array([255.0]), 2**16) is not None
+
+    def test_layer_without_a_float32_rounding_keeps_float64(self):
+        # a 1x1 kernel of one +1 weight, so each accumulator is its pixel, and
+        # one image per accumulator value in 0..2^16
+        ones = np.ones(1)
+        requant = ones * NO_FLOAT32_ROUNDING
+        layer = dep.FoldedLayer(
+            name="fallback", weight_idx=np.ones((1, 1, 1, 1)), channel_sign=ones,
+            weight_levels=1, stride=1, pad=0, in_scale=1.0, in_levels=2**16,
+            offset=0 * ones, clip=ones * 2**16, requant=requant, out_alpha=1.0,
+            out_levels=255, pool_k=1,
+        )
+        assert dep._float32_rounding(requant, ones * 255, 2**16) is None
+        folded = dep.FoldedModel(layers=[layer], fc_weight=np.ones((1, 1)), fc_in_scale=1.0,
+                                 logit_scale=1.0)
+        assert folded._plans[0][4].dtype == np.float64
+        images = np.arange(2.0**16 + 1).reshape(-1, 1, 1, 1)
+        want = int64_forward(folded, images)
+        assert np.array_equal(folded.forward_int(images), want.astype(np.float64))
+        # the plain float32 rounding would differ from it
+        plain = np.floor(images.ravel().astype(np.float32) * np.float32(NO_FLOAT32_ROUNDING)
+                         + np.float32(0.5))
+        assert not np.array_equal(np.minimum(plain, 255), want.ravel())

@@ -1,5 +1,5 @@
 """Print the sha256 of every file that ``qsat train`` writes for the three
-``perfbench/configs`` runs and seven short runs derived from them, of the
+``perfbench/configs`` runs and eight short runs derived from them, of the
 file ``qsat fold`` writes for each folded run, of what ``qsat eval`` prints
 for a folded run's checkpoint and for its folded file, of what ``qsat
 diagnose`` prints for each run, of each folded run's ``forward_int``
@@ -19,18 +19,21 @@ full-precision ``convnet-nobn-tail`` run), and the scheme paths of uniform
 edge bit-widths and per-layer overrides (one epoch of a 4-bit
 ``convnet-bn`` fine-tune from the full-precision run with
 ``first_last_bits=uniform``, ``layer2.bits=3`` and
-``layer3.rescale=stddev``), and the two dataset file readers (one
-full-precision epoch of ``convnet-bn`` on an MNIST-format directory whose
-test split is gzipped, and one on a CIFAR-10 directory, each given by
-``--dataset``).  Their configs are the base configs with some keys
-replaced, written to the temporary directory.  The dataset files are
-pseudo-random bytes that depend only on this script, written to the
-temporary directory and hashed with it; ``--dataset`` names them by a
-path relative to it, so the config hash a checkpoint holds does not
-depend on where the temporary directory is.
+``layer3.rescale=stddev``), a 6-bit fold (one epoch of a 6-bit
+``convnet-bn`` fine-tune from the full-precision run, whose first folded
+layer rescales in float64 and the others in float32, so one folded model
+covers both integer epilogues and the handoff between them), and the two
+dataset file readers (one full-precision epoch of ``convnet-bn`` on an
+MNIST-format directory whose test split is gzipped, and one on a
+CIFAR-10 directory, each given by ``--dataset``).  Their configs are the
+base configs with some keys replaced, written to the temporary directory.
+The dataset files are pseudo-random bytes that depend only on this
+script, written to the temporary directory and hashed with it;
+``--dataset`` names them by a path relative to it, so the config hash a
+checkpoint holds does not depend on where the temporary directory is.
 
-The folded runs are the 4-bit run and the LEGACY ``convnet-nobn-tail`` run.
-The folded outputs cover the 640-image validation pool of each folded run's
+The folded runs are the 4-bit run, the LEGACY ``convnet-nobn-tail`` run
+and the 6-bit run.  The folded outputs cover the 640-image validation pool of each folded run's
 dataset (its seed, 10 training images), in batches of its batch size, which
 for the 4-bit run are the pool and batches ``perfbench`` runs
 ``infer-fold-q4`` on, and separately the pool's first 7 images as one
@@ -72,6 +75,7 @@ RUNS = (
     ("q4-overrides", "q4_convnet.cfg",
      {"epochs": 1, "warmup_epochs": 0, "first_last_bits": "uniform", "layer2.bits": 3,
       "layer3.rescale": "stddev"}, "fp"),
+    ("q6", "q4_convnet.cfg", {"bits": 6, "act_bits": 6, "epochs": 1, "warmup_epochs": 0}, "fp"),
     ("mnist-fp", "fp_convnet.cfg", {"dataset": "mnist", "epochs": 1, "warmup_epochs": 0}, None),
     ("cifar10-fp", "fp_convnet.cfg", {"dataset": "cifar10", "epochs": 1, "warmup_epochs": 0},
      None),
@@ -83,7 +87,8 @@ FILE_SPLITS = (64, 32)
 # folded run: directory of its folded outputs; the 4-bit run's keep the
 # directory they had when only that run's were hashed, so its lines stay
 # comparable with older checkouts' digests
-FOLDED_RUNS = {"q4": "folded_outputs", "nobn-legacy-q4": "folded_outputs/nobn-legacy-q4"}
+FOLDED_RUNS = {"q4": "folded_outputs", "nobn-legacy-q4": "folded_outputs/nobn-legacy-q4",
+               "q6": "folded_outputs/q6"}
 POOL_IMAGES = 640
 SHORT_BATCH = 7
 STUDIES = ("clamp-var", "quant-var")
